@@ -123,6 +123,34 @@ func BenchmarkTable2PostOpt(b *testing.B) {
 	}
 }
 
+// BenchmarkCluster measures Algorithm 3's bottom-up clustering on its own:
+// postopt.ClusterAndRouteCtx on Industry6 at the table2-congested scale,
+// where PD leaves bits unrouted (at benchScale clustering does no work).
+// The build and the PD solve happen once outside the timer; each op starts
+// from a fresh copy of the PD routing and usage.
+func BenchmarkCluster(b *testing.B) {
+	d := benchgen.Scale(benchgen.Industry(6), 0.18).Generate()
+	p, err := route.Build(d, route.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sol := pd.Solve(p)
+	ctx := context.Background()
+	var stats postopt.ClusterStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := p.ExtractRouting(sol.Assignment)
+		u := r.UsageOf(p.Grid)
+		b.StartTimer()
+		if stats, err = postopt.ClusterAndRouteCtx(ctx, p, r, u, postopt.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(stats.BitsRouted), "bitsRouted")
+	b.ReportMetric(float64(stats.Clusters), "clusters")
+}
+
 // BenchmarkFig11Heatmap and BenchmarkFig12Heatmap measure the congestion
 // map generation for Industry7 and Industry6.
 func BenchmarkFig11Heatmap(b *testing.B) { benchHeatmap(b, 7) }

@@ -37,6 +37,17 @@ func TestSolveCountersRegistered(t *testing.T) {
 				t.Errorf("method %v: counter %q is not in the canonical registry (internal/obs/counters.go)", method, name)
 			}
 		}
+		// Work counters every post-optimized solve must emit, even when a
+		// stage has nothing to do (zero is a reading; absence is a bug).
+		names := []string{
+			obs.CounterClusterIterations, obs.CounterClusterPairEvals,
+			obs.CounterClusterRatioEvals, obs.CounterClusterTreeFits,
+		}
+		for _, name := range names {
+			if _, ok := counters[name]; !ok {
+				t.Errorf("method %v: counter %q not emitted", method, name)
+			}
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ package streak
 // optimality in seconds, so those combinations are excluded by design.
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -29,9 +30,11 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/benchgen"
+	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/hier"
 	"repro/internal/pd"
+	"repro/internal/postopt"
 	"repro/internal/route"
 	"repro/internal/topo"
 )
@@ -229,6 +232,107 @@ func TestGoldenFingerprintsParallelBuild(t *testing.T) {
 	for k, want := range goldenFingerprints {
 		if got[k] != want {
 			t.Errorf("%s (workers=%d):\n got %s\nwant %s", k, w, got[k], want)
+		}
+	}
+}
+
+// clusterScale is the table2-congested scale: at it Industry5 and
+// Industry6 leave bits unrouted after PD, so Algorithm 3's clustering does
+// real merge work (at equivScale it does none).
+const clusterScale = 0.18
+
+// goldenClusterFingerprints pins the clustering outcome at clusterScale.
+// "<preset>/cluster" digests the routing right after ClusterAndRoute on the
+// PD routing; "<preset>/flow" digests the complete DefaultOptions flow
+// (clustering then refinement). Values come from STREAK_WRITE_GOLDEN
+// output of TestGoldenClusterFingerprints.
+var goldenClusterFingerprints = map[string]string{
+	"Industry5/cluster": "geo=5faf8c0d79fab627 stats={BitsRouted:32 BitsLeft:0 Clusters:2}",
+	"Industry5/flow":    "geo=5faf8c0d79fab627 cluster={BitsRouted:32 BitsLeft:0 Clusters:2} refine={GroupsBefore:0 GroupsAfter:0 PinsFixed:0 PinsLeft:0 AddedWL:0} wl=411319ec00000000 reg=3fec606f48d6427d vio=0",
+	"Industry6/cluster": "geo=0af642090419249c stats={BitsRouted:27 BitsLeft:0 Clusters:1}",
+	"Industry6/flow":    "geo=d1c0f5795268ef00 cluster={BitsRouted:27 BitsLeft:0 Clusters:1} refine={GroupsBefore:2 GroupsAfter:0 PinsFixed:2 PinsLeft:0 AddedWL:16} wl=4112742400000000 reg=3fecd2cd2cd2cd2e vio=0",
+}
+
+// fpRouting digests a routing in full: per bit its layers and canonical
+// segments, per solution object its representative (bit, layers, canonical
+// tree), member list and pin map.
+func fpRouting(r *route.Routing) uint64 {
+	h := fnv.New64a()
+	for gi := range r.Bits {
+		for _, b := range r.Bits[gi] {
+			if !b.Routed {
+				fmt.Fprintf(h, "u;")
+				continue
+			}
+			fmt.Fprintf(h, "b%d,%d:", b.HLayer, b.VLayer)
+			for _, s := range b.Tree.Canon().Segs {
+				fmt.Fprintf(h, "%d.%d.%d.%d;", s.A.X, s.A.Y, s.B.X, s.B.Y)
+			}
+		}
+		for _, so := range r.Objects[gi] {
+			fmt.Fprintf(h, "s%d,%d,%d,%v,%v:", so.RepBit, so.HLayer, so.VLayer, so.BitIdx, so.PinMap)
+			for _, s := range so.RepTree.Canon().Segs {
+				fmt.Fprintf(h, "%d.%d.%d.%d;", s.A.X, s.A.Y, s.B.X, s.B.Y)
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// computeClusterFingerprints runs the clustering presets and returns their
+// fingerprint map.
+func computeClusterFingerprints(t *testing.T) map[string]string {
+	t.Helper()
+	got := make(map[string]string)
+	for _, n := range []int{5, 6} {
+		name := fmt.Sprintf("Industry%d", n)
+		d := benchgen.Scale(benchgen.Industry(n), clusterScale).Generate()
+		res, err := core.RunCtx(context.Background(), d, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: flow: %v", name, err)
+		}
+		m := res.Metrics
+		got[name+"/flow"] = fmt.Sprintf("geo=%016x cluster=%+v refine=%+v wl=%016x reg=%016x vio=%d",
+			fpRouting(res.Routing), res.Cluster, res.Refine,
+			math.Float64bits(m.WL), math.Float64bits(m.AvgReg), m.VioDst)
+
+		p := res.Problem
+		sol := pd.Solve(p)
+		r := p.ExtractRouting(sol.Assignment)
+		u := r.UsageOf(p.Grid)
+		stats := postopt.ClusterAndRoute(p, r, u, postopt.Options{})
+		got[name+"/cluster"] = fmt.Sprintf("geo=%016x stats=%+v", fpRouting(r), stats)
+	}
+	return got
+}
+
+// TestGoldenClusterFingerprints pins Algorithm 3's clustering and the full
+// post-optimized flow on congested inputs bit for bit: the routed geometry,
+// layers, solution objects (members and pin maps) and statistics.
+func TestGoldenClusterFingerprints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second congested flows")
+	}
+	got := computeClusterFingerprints(t)
+	if os.Getenv("STREAK_WRITE_GOLDEN") != "" {
+		keys := make([]string, 0, len(got))
+		for k := range got {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Printf("\t%q: %q,\n", k, got[k])
+		}
+		return
+	}
+	for k, want := range goldenClusterFingerprints {
+		if got[k] != want {
+			t.Errorf("%s:\n got %s\nwant %s", k, got[k], want)
+		}
+	}
+	for k := range got {
+		if _, ok := goldenClusterFingerprints[k]; !ok {
+			t.Errorf("%s: computed but not pinned; regenerate goldens", k)
 		}
 	}
 }

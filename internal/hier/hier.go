@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/exact"
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -478,11 +477,4 @@ func bestCost(p *route.Problem, i int, a *route.Assignment) float64 {
 		return 1e18
 	}
 	return p.Cost(i, 0)
-}
-
-// SolveMonolithic is the comparison point: the whole-design exact solve
-// (identical to exact.Solve), exposed here so benchmarks can compare the
-// two flows side by side.
-func SolveMonolithic(p *route.Problem, timeLimit time.Duration, warm *route.Assignment) (exact.Result, error) {
-	return exact.Solve(p, exact.Options{TimeLimit: timeLimit, WarmStart: warm})
 }

@@ -109,9 +109,6 @@ func (m *Model) AddLazyConstraint(terms []Term, rhs float64) {
 	m.lazy = append(m.lazy, last)
 }
 
-// NumLazyConstraints returns the number of lazily-activated constraints.
-func (m *Model) NumLazyConstraints() int { return len(m.lazy) }
-
 // violatedLazy returns the indices of inactive lazy rows violated by x.
 func (m *Model) violatedLazy(x []float64, active []bool) []int {
 	var out []int

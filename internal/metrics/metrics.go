@@ -100,13 +100,15 @@ func GroupReg(g *signal.Group, objs []route.SolutionObject) (float64, bool) {
 	if len(objs) < 2 {
 		return 0, false
 	}
+	shapes := make([]*topo.Shape, len(objs))
+	for i, o := range objs {
+		shapes[i] = topo.NewShape(o.RepTree, &g.Bits[o.RepBit])
+	}
 	sum := 0.0
 	n := 0
 	for i := 0; i < len(objs); i++ {
 		for j := i + 1; j < len(objs); j++ {
-			b1 := &g.Bits[objs[i].RepBit]
-			b2 := &g.Bits[objs[j].RepBit]
-			sum += topo.Ratio(objs[i].RepTree, b1, objs[j].RepTree, b2)
+			sum += topo.ShapeRatio(shapes[i], shapes[j])
 			n++
 		}
 	}

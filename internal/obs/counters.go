@@ -43,16 +43,20 @@ const (
 	CounterILPScratchFresh = "ilp.scratch.fresh"
 
 	// Hierarchical selection (internal/hier).
-	CounterHierTilesSolved   = "hier.tiles.solved"
-	CounterHierTilesTimedOut = "hier.tiles.timedout"
-	CounterHierGreedyRouted  = "hier.greedy.routed"
-	CounterHierUsagePoolGets = "hier.usage.pool.gets"
+	CounterHierTilesSolved    = "hier.tiles.solved"
+	CounterHierTilesTimedOut  = "hier.tiles.timedout"
+	CounterHierGreedyRouted   = "hier.greedy.routed"
+	CounterHierUsagePoolGets  = "hier.usage.pool.gets"
 	CounterHierUsagePoolFresh = "hier.usage.pool.fresh"
 
 	// Post-optimization (internal/postopt).
 	CounterClusterBitsRouted = "postopt.cluster.bits_routed"
 	CounterClusterBitsLeft   = "postopt.cluster.bits_left"
 	CounterClusterClusters   = "postopt.cluster.clusters"
+	CounterClusterIterations = "postopt.cluster.iterations"
+	CounterClusterPairEvals  = "postopt.cluster.pair_evals"
+	CounterClusterRatioEvals = "postopt.cluster.ratio_evals"
+	CounterClusterTreeFits   = "postopt.cluster.tree_fits"
 	CounterRefinePinsFixed   = "postopt.refine.pins_fixed"
 	CounterRefinePinsLeft    = "postopt.refine.pins_left"
 	CounterRefineAddedWL     = "postopt.refine.added_wl"
@@ -114,6 +118,8 @@ var knownCounters = func() map[string]struct{} {
 		CounterHierUsagePoolGets, CounterHierUsagePoolFresh,
 		CounterClusterBitsRouted, CounterClusterBitsLeft,
 		CounterClusterClusters,
+		CounterClusterIterations, CounterClusterPairEvals,
+		CounterClusterRatioEvals, CounterClusterTreeFits,
 		CounterRefinePinsFixed, CounterRefinePinsLeft,
 		CounterRefineAddedWL,
 		CounterAuditViolations, CounterAuditBits, CounterAuditEdges,

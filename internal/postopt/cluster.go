@@ -61,12 +61,21 @@ type bitRef struct {
 	obj, member, bit int
 }
 
-// cluster is Algorithm 3's working unit.
+// cluster is Algorithm 3's working unit. Its id is the index of its first
+// bit among the group's unrouted bits; merges append the partner's bits, so
+// bits[0] — the representative — keeps that index. Only routed clusters
+// merge, so an unrouted cluster is always a single bit.
 type cluster struct {
 	id     int
 	bits   []bitRef
 	routed bool
-	trees  []geom.Tree // per bits entry when routed
+	cand   int // the representative's candidate (groupCands index) when routed
+}
+
+// clusterWork counts the work of a clustering pass (the
+// postopt.cluster.* work counters).
+type clusterWork struct {
+	iterations, pairEvals, ratioEvals, treeFits int64
 }
 
 // ClusterAndRoute runs layer prediction plus bottom-up clustering
@@ -85,6 +94,7 @@ func ClusterAndRoute(p *route.Problem, r *route.Routing, u *grid.Usage, opt Opti
 func ClusterAndRouteCtx(ctx context.Context, p *route.Problem, r *route.Routing, u *grid.Usage, opt Options) (ClusterStats, error) {
 	opt = opt.withDefaults()
 	var stats ClusterStats
+	var work clusterWork
 	err := obs.Do(ctx, obs.StageCluster, 0, func(ctx context.Context) error {
 		for gi := range p.Design.Groups {
 			if err := ctx.Err(); err != nil {
@@ -93,7 +103,7 @@ func ClusterAndRouteCtx(ctx context.Context, p *route.Problem, r *route.Routing,
 			if r.GroupRouted(gi) {
 				continue
 			}
-			stats = addStats(stats, clusterGroup(p, r, u, gi, opt))
+			stats = addStats(stats, clusterGroup(p, r, u, gi, opt, &work))
 		}
 		return nil
 	})
@@ -101,6 +111,10 @@ func ClusterAndRouteCtx(ctx context.Context, p *route.Problem, r *route.Routing,
 		rec.Add(obs.CounterClusterBitsRouted, int64(stats.BitsRouted))
 		rec.Add(obs.CounterClusterBitsLeft, int64(stats.BitsLeft))
 		rec.Add(obs.CounterClusterClusters, int64(stats.Clusters))
+		rec.Add(obs.CounterClusterIterations, work.iterations)
+		rec.Add(obs.CounterClusterPairEvals, work.pairEvals)
+		rec.Add(obs.CounterClusterRatioEvals, work.ratioEvals)
+		rec.Add(obs.CounterClusterTreeFits, work.treeFits)
 	}
 	return stats, err
 }
@@ -142,8 +156,139 @@ func bitCandidates(p *route.Problem, ref bitRef, opt Options) []geom.Tree {
 	return out
 }
 
+// groupCands is one group's clustering cost cache. Every candidate tree of
+// every unrouted bit gets a dense index (bit i owns first[i]..first[i+1]-1)
+// under which it stores what the pair costs need: wirelength, regularity
+// shape and a fit bit. The regularity ratio of a candidate pair is a pure
+// function of the two trees and bits, so it is computed at most once per
+// group, on first use. Fit bits track route.TreeFits under the layer
+// prediction: usage only grows inside clusterGroup, so a bit can only turn
+// false, and after every commit only the still-true bits of still-unrouted
+// bits are re-checked.
+type groupCands struct {
+	u      *grid.Usage
+	hl, vl int
+	opt    Options
+	work   *clusterWork
+
+	first  []int
+	trees  []geom.Tree
+	wl     []int
+	shapes []*topo.Shape
+	fits   []bool
+	routed []bool // per bit
+	// ratio memoizes topo.ShapeRatio per unordered candidate pair, the
+	// pair x > y at x*(x-1)/2 + y; NaN until computed.
+	ratio []float64
+}
+
+func newGroupCands(g *signal.Group, refs []bitRef, cands [][]geom.Tree, u *grid.Usage, hl, vl int, opt Options, work *clusterWork) *groupCands {
+	gc := &groupCands{u: u, hl: hl, vl: vl, opt: opt, work: work,
+		first: make([]int, len(refs)+1), routed: make([]bool, len(refs))}
+	for i, ts := range cands {
+		bit := &g.Bits[refs[i].bit]
+		for _, t := range ts {
+			gc.trees = append(gc.trees, t)
+			gc.wl = append(gc.wl, t.WireLength())
+			gc.shapes = append(gc.shapes, topo.NewShape(t, bit))
+			gc.fits = append(gc.fits, true)
+		}
+		gc.first[i+1] = len(gc.trees)
+	}
+	n := len(gc.trees)
+	gc.ratio = make([]float64, n*(n-1)/2)
+	for i := range gc.ratio {
+		gc.ratio[i] = math.NaN()
+	}
+	gc.refreshFits()
+	return gc
+}
+
+// refreshFits re-checks the still-true fit bits of every unrouted bit's
+// candidates against the current usage.
+func (gc *groupCands) refreshFits() {
+	for i, done := range gc.routed {
+		if done {
+			continue
+		}
+		for k := gc.first[i]; k < gc.first[i+1]; k++ {
+			if gc.fits[k] {
+				gc.work.treeFits++
+				gc.fits[k] = route.TreeFits(gc.u, gc.trees[k], gc.hl, gc.vl)
+			}
+		}
+	}
+}
+
+// pairRatio returns the regularity ratio of candidates x != y.
+func (gc *groupCands) pairRatio(x, y int) float64 {
+	if x < y {
+		x, y = y, x
+	}
+	m := &gc.ratio[x*(x-1)/2+y]
+	if math.IsNaN(*m) {
+		gc.work.ratioEvals++
+		*m = topo.ShapeRatio(gc.shapes[x], gc.shapes[y])
+	}
+	return *m
+}
+
+// regCost is the regularity term of the cluster pair cost for candidates
+// x and y.
+func (gc *groupCands) regCost(x, y int) float64 {
+	return topo.PairIrregularity(gc.pairRatio(x, y), gc.opt.RegWeight, gc.opt.NoShare, 1, 0)
+}
+
+// pairCost evaluates the minimum achievable weighted cost of routing the
+// pair (wirelength + regularity), along with the best candidate for each
+// unrouted side (-1 for a routed side). ok is false when no legal option
+// exists. Candidates are tried in order and only a strictly lower cost
+// replaces the incumbent, so ties go to the earliest combination.
+func (gc *groupCands) pairCost(a, b *cluster) (cost float64, ca, cb int, ok bool) {
+	switch {
+	case a.routed && b.routed:
+		return gc.regCost(a.cand, b.cand), -1, -1, true
+	case a.routed:
+		cost, cb := gc.openCost(a, b)
+		return cost, -1, cb, cb >= 0
+	case b.routed:
+		cost, ca := gc.openCost(b, a)
+		return cost, ca, -1, ca >= 0
+	}
+	best, ca, cb := math.Inf(1), -1, -1
+	for x := gc.first[a.id]; x < gc.first[a.id+1]; x++ {
+		if !gc.fits[x] {
+			continue
+		}
+		for y := gc.first[b.id]; y < gc.first[b.id+1]; y++ {
+			if !gc.fits[y] {
+				continue
+			}
+			if c := float64(gc.wl[x]+gc.wl[y]) + gc.regCost(x, y); c < best {
+				best, ca, cb = c, x, y
+			}
+		}
+	}
+	return best, ca, cb, ca >= 0
+}
+
+// openCost prices a routed cluster against an unrouted one: the cheapest
+// fitting candidate of the open side, or -1 when none fits.
+func (gc *groupCands) openCost(routed, open *cluster) (float64, int) {
+	best, bestK := math.Inf(1), -1
+	for k := gc.first[open.id]; k < gc.first[open.id+1]; k++ {
+		if !gc.fits[k] {
+			continue
+		}
+		if c := float64(gc.wl[k]) + gc.regCost(routed.cand, k); c < best {
+			best, bestK = c, k
+		}
+	}
+	return best, bestK
+}
+
 // clusterGroup runs Algorithm 3 on one group.
-func clusterGroup(p *route.Problem, r *route.Routing, u *grid.Usage, gi int, opt Options) ClusterStats {
+func clusterGroup(p *route.Problem, r *route.Routing, u *grid.Usage, gi int, opt Options, work *clusterWork) ClusterStats {
 	g := &p.Design.Groups[gi]
 
 	// Collect unrouted bits with their owning objects.
@@ -160,125 +305,77 @@ func clusterGroup(p *route.Problem, r *route.Routing, u *grid.Usage, gi int, opt
 	}
 
 	// Candidate trees per bit and layer prediction (lines 1-2).
-	cands := make(map[bitRef][]geom.Tree, len(refs))
-	var all [][]geom.Tree
-	for _, ref := range refs {
-		c := bitCandidates(p, ref, opt)
-		cands[ref] = c
-		all = append(all, c)
+	cands := make([][]geom.Tree, len(refs))
+	for i, ref := range refs {
+		cands[i] = bitCandidates(p, ref, opt)
 	}
-	hl, vl := PredictLayers(u, all)
+	hl, vl := PredictLayers(u, cands)
 	if hl < 0 || vl < 0 {
 		return ClusterStats{BitsLeft: len(refs)}
 	}
+	gc := newGroupCands(g, refs, cands, u, hl, vl, opt, work)
 
 	// Line 4: one cluster per bit.
-	clusters := make([]*cluster, len(refs))
+	n := len(refs)
+	clusters := make([]*cluster, n)
 	for i, ref := range refs {
 		clusters[i] = &cluster{id: i, bits: []bitRef{ref}}
 	}
 
-	bitOf := func(ref bitRef) *signal.Bit { return &g.Bits[ref.bit] }
-
-	// pairCost evaluates the minimum achievable weighted cost of routing
-	// the pair (wirelength + regularity), along with the best candidate
-	// choice for each unrouted side. Infinite when no legal option exists.
-	pairCost := func(a, b *cluster) (cost float64, ta, tb geom.Tree, ok bool) {
-		regCost := func(t1 geom.Tree, b1 *signal.Bit, t2 geom.Tree, b2 *signal.Bit) float64 {
-			ratio := topo.Ratio(t1, b1, t2, b2)
-			return topo.PairIrregularity(ratio, opt.RegWeight, opt.NoShare, 1, 0)
-		}
-		switch {
-		case a.routed && b.routed:
-			return regCost(a.trees[0], bitOf(a.bits[0]), b.trees[0], bitOf(b.bits[0])), geom.Tree{}, geom.Tree{}, true
-		case a.routed:
-			cost, _, tb, ok := pairCostRoutedFirst(a, b, cands, bitOf, u, hl, vl, regCost)
-			return cost, geom.Tree{}, tb, ok
-		case b.routed:
-			cost, _, ta, ok := pairCostRoutedFirst(b, a, cands, bitOf, u, hl, vl, regCost)
-			return cost, ta, geom.Tree{}, ok
-		}
-		best := math.Inf(1)
-		var bestA, bestB geom.Tree
-		for _, t1 := range cands[a.bits[0]] {
-			if !route.TreeFits(u, t1, hl, vl) {
-				continue
-			}
-			for _, t2 := range cands[b.bits[0]] {
-				if !route.TreeFits(u, t2, hl, vl) {
-					continue
-				}
-				c := float64(t1.WireLength()+t2.WireLength()) +
-					regCost(t1, bitOf(a.bits[0]), t2, bitOf(b.bits[0]))
-				if c < best {
-					best, bestA, bestB = c, t1, t2
-				}
-			}
-		}
-		return best, bestA, bestB, !math.IsInf(best, 1)
-	}
-
-	routeCluster := func(c *cluster, t geom.Tree) {
+	routeCluster := func(c *cluster, k int) {
 		c.routed = true
-		c.trees = []geom.Tree{t}
+		c.cand = k
+		t := gc.trees[k]
 		route.AddTreeUsage(u, t, hl, vl, 1)
-		ref := c.bits[0]
-		r.Bits[gi][ref.bit] = route.BitRoute{Routed: true, Tree: t, HLayer: hl, VLayer: vl}
+		r.Bits[gi][c.bits[0].bit] = route.BitRoute{Routed: true, Tree: t, HLayer: hl, VLayer: vl}
+		gc.routed[c.id] = true
+		gc.refreshFits()
 	}
 
 	// Lines 5-15: visit cluster pairs in minimum-cost order.
-	visited := make(map[[2]int]bool)
+	visited := make([]bool, n*n)
 	for {
+		work.iterations++
 		type pick struct {
 			ai, bi int
 			cost   float64
-			ta, tb geom.Tree
+			ca, cb int
 			ok     bool
 		}
 		best := pick{cost: math.Inf(1)}
 		found := false
 		for i := 0; i < len(clusters); i++ {
 			for j := i + 1; j < len(clusters); j++ {
-				key := [2]int{clusters[i].id, clusters[j].id}
-				if visited[key] {
+				if visited[clusters[i].id*n+clusters[j].id] {
 					continue
 				}
 				found = true
-				c, ta, tb, ok := pairCost(clusters[i], clusters[j])
+				work.pairEvals++
+				c, ca, cb, ok := gc.pairCost(clusters[i], clusters[j])
 				if ok && c < best.cost {
-					best = pick{i, j, c, ta, tb, ok}
+					best = pick{i, j, c, ca, cb, ok}
 				}
 			}
 		}
-		if !found {
-			break
-		}
-		if !best.ok {
-			// Every unvisited pair is infeasible; mark them visited.
-			for i := 0; i < len(clusters); i++ {
-				for j := i + 1; j < len(clusters); j++ {
-					visited[[2]int{clusters[i].id, clusters[j].id}] = true
-				}
-			}
+		if !found || !best.ok {
+			// Done, or every unvisited pair is infeasible.
 			break
 		}
 		a, b := clusters[best.ai], clusters[best.bi]
-		if !a.routed && len(best.ta.Segs) > 0 {
-			routeCluster(a, best.ta)
+		if !a.routed && len(gc.trees[best.ca].Segs) > 0 {
+			routeCluster(a, best.ca)
 		}
 		// Routing a may have consumed tracks b's tree needs (overlapping
-		// shifted topologies); re-verify before committing b.
-		if !b.routed && len(best.tb.Segs) > 0 && route.TreeFits(u, best.tb, hl, vl) {
-			routeCluster(b, best.tb)
+		// shifted topologies); the refreshed fit bit re-verifies b before
+		// it commits.
+		if !b.routed && len(gc.trees[best.cb].Segs) > 0 && gc.fits[best.cb] {
+			routeCluster(b, best.cb)
 		}
-		visited[[2]int{a.id, b.id}] = true
+		visited[a.id*n+b.id] = true
 		// Lines 11-13: merge equal-topology clusters.
-		if a.routed && b.routed {
-			if topo.Ratio(a.trees[0], bitOf(a.bits[0]), b.trees[0], bitOf(b.bits[0])) == 1 {
-				a.bits = append(a.bits, b.bits...)
-				a.trees = append(a.trees, b.trees...)
-				clusters = append(clusters[:best.bi], clusters[best.bi+1:]...)
-			}
+		if a.routed && b.routed && gc.pairRatio(a.cand, b.cand) == 1 {
+			a.bits = append(a.bits, b.bits...)
+			clusters = append(clusters[:best.bi], clusters[best.bi+1:]...)
 		}
 	}
 
@@ -288,15 +385,14 @@ func clusterGroup(p *route.Problem, r *route.Routing, u *grid.Usage, gi int, opt
 		if c.routed {
 			continue
 		}
-		var bestT geom.Tree
-		bestWL := math.MaxInt
-		for _, t := range cands[c.bits[0]] {
-			if route.TreeFits(u, t, hl, vl) && t.WireLength() < bestWL {
-				bestWL, bestT = t.WireLength(), t
+		bestK, bestWL := -1, math.MaxInt
+		for k := gc.first[c.id]; k < gc.first[c.id+1]; k++ {
+			if gc.fits[k] && gc.wl[k] < bestWL {
+				bestWL, bestK = gc.wl[k], k
 			}
 		}
-		if bestWL < math.MaxInt {
-			routeCluster(c, bestT)
+		if bestK >= 0 {
+			routeCluster(c, bestK)
 		}
 	}
 
@@ -310,7 +406,7 @@ func clusterGroup(p *route.Problem, r *route.Routing, u *grid.Usage, gi int, opt
 		stats.BitsRouted += len(c.bits)
 		stats.Clusters++
 		so := route.SolutionObject{
-			RepTree: c.trees[0],
+			RepTree: gc.trees[c.cand],
 			RepBit:  c.bits[0].bit,
 			HLayer:  hl,
 			VLayer:  vl,
@@ -324,27 +420,6 @@ func clusterGroup(p *route.Problem, r *route.Routing, u *grid.Usage, gi int, opt
 		r.Objects[gi] = append(r.Objects[gi], so)
 	}
 	return stats
-}
-
-// pairCostRoutedFirst handles the routed/unrouted case with the routed
-// cluster first; it returns the cost and the chosen tree for the unrouted
-// side.
-func pairCostRoutedFirst(routed, open *cluster, cands map[bitRef][]geom.Tree,
-	bitOf func(bitRef) *signal.Bit, u *grid.Usage, hl, vl int,
-	regCost func(geom.Tree, *signal.Bit, geom.Tree, *signal.Bit) float64,
-) (float64, geom.Tree, geom.Tree, bool) {
-	best := math.Inf(1)
-	var bestT geom.Tree
-	for _, t := range cands[open.bits[0]] {
-		if !route.TreeFits(u, t, hl, vl) {
-			continue
-		}
-		c := float64(t.WireLength()) + regCost(routed.trees[0], bitOf(routed.bits[0]), t, bitOf(open.bits[0]))
-		if c < best {
-			best, bestT = c, t
-		}
-	}
-	return best, geom.Tree{}, bestT, !math.IsInf(best, 1)
 }
 
 // clusterPinMap derives per-member pin maps for a cluster whose bits all

@@ -1,10 +1,13 @@
 package postopt
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/benchgen"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/pd"
 	"repro/internal/route"
 	"repro/internal/signal"
@@ -241,4 +244,66 @@ func TestRefineRespectsCapacity(t *testing.T) {
 	if stats.PinsFixed != 0 {
 		t.Errorf("fixed %d pins with zero capacity", stats.PinsFixed)
 	}
+}
+
+// TestClusterWorkCounters runs clustering where it does real work
+// (Industry6 at the table2-congested scale) and pins the work counters to
+// the cost cache's bounds: each distinct candidate pair's ratio is
+// computed at most once per group, and each candidate's fit is checked at
+// most once per commit plus once up front.
+func TestClusterWorkCounters(t *testing.T) {
+	d := benchgen.Scale(benchgen.Industry(6), 0.18).Generate()
+	p, err := route.Build(d, route.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := p.ExtractRouting(pd.Solve(p).Assignment)
+	u := r.UsageOf(p.Grid)
+
+	opt := Options{}.withDefaults()
+	var distinctPairs, fitBound int64
+	for gi := range p.Design.Groups {
+		if r.GroupRouted(gi) {
+			continue
+		}
+		var ks []int64
+		for _, oi := range p.GroupObjs[gi] {
+			for k, bi := range p.Objects[oi].BitIdx {
+				if !r.Bits[gi][bi].Routed {
+					ks = append(ks, int64(len(bitCandidates(p, bitRef{oi, k, bi}, opt))))
+				}
+			}
+		}
+		var n int64
+		for i, ki := range ks {
+			n += ki
+			for _, kj := range ks[i+1:] {
+				distinctPairs += ki * kj
+			}
+		}
+		fitBound += n * int64(len(ks)+1)
+	}
+
+	rec := obs.NewRecorder()
+	stats, err := ClusterAndRouteCtx(obs.WithRecorder(context.Background(), rec), p, r, u, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BitsRouted == 0 {
+		t.Fatal("clustering did no work; the preset no longer exercises it")
+	}
+	c := rec.Counters()
+	iters, pairs := c[obs.CounterClusterIterations], c[obs.CounterClusterPairEvals]
+	ratios, fits := c[obs.CounterClusterRatioEvals], c[obs.CounterClusterTreeFits]
+	if iters < 1 || pairs < iters {
+		t.Errorf("iterations %d, pair_evals %d: want 1 <= iterations <= pair_evals", iters, pairs)
+	}
+	if ratios < 1 || ratios > distinctPairs {
+		t.Errorf("ratio_evals = %d, want within [1, %d distinct candidate pairs]", ratios, distinctPairs)
+	}
+	if fits < 1 || fits > fitBound {
+		t.Errorf("tree_fits = %d, want within [1, %d]", fits, fitBound)
+	}
+	t.Logf("iterations %d, pair_evals %d, ratio_evals %d (of %d pairs), tree_fits %d",
+		iters, pairs, ratios, distinctPairs, fits)
 }

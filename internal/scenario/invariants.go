@@ -29,6 +29,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Observation is the driver's record of one request's fate.
@@ -209,12 +211,13 @@ type Summary struct {
 }
 
 // Summarize reduces a run's observations to the scenario report numbers.
-// Latency percentiles cover successful (2xx) responses only.
-func Summarize(obs []Observation) Summary {
-	s := Summary{Requests: len(obs), ByStatus: map[string]int{}, ByCache: map[string]int{}}
+// Latency percentiles are nearest-rank (obs.NearestRank) over successful
+// (2xx) responses only.
+func Summarize(observed []Observation) Summary {
+	s := Summary{Requests: len(observed), ByStatus: map[string]int{}, ByCache: map[string]int{}}
 	var lat []time.Duration
 	shed := 0
-	for _, o := range obs {
+	for _, o := range observed {
 		key := fmt.Sprintf("%d", o.Status)
 		if o.TransportErr != "" {
 			key = "transport-error"
@@ -241,15 +244,12 @@ func Summarize(obs []Observation) Summary {
 			}
 		}
 	}
-	if len(obs) > 0 {
-		s.ShedFrac = float64(shed) / float64(len(obs))
+	if len(observed) > 0 {
+		s.ShedFrac = float64(shed) / float64(len(observed))
 	}
 	if len(lat) > 0 {
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		pct := func(p float64) int64 {
-			i := int(p * float64(len(lat)-1))
-			return lat[i].Microseconds()
-		}
+		pct := func(p float64) int64 { return obs.NearestRank(lat, p).Microseconds() }
 		s.P50us, s.P90us, s.P99us = pct(0.50), pct(0.90), pct(0.99)
 	}
 	return s

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Series metric names accepted by GET /telemetry/v1/series.
@@ -152,7 +154,7 @@ func ComputeSeries(recs []Record, opt SeriesOptions) (Series, error) {
 }
 
 // latencyByMethod buckets solve durations per method and summarizes each
-// with nearest-rank quantiles.
+// with nearest-rank quantiles (obs.NearestRank).
 func latencyByMethod(reports []Record) map[string]*LatencySummary {
 	buckets := make(map[string][]int64)
 	for _, r := range reports {
@@ -170,28 +172,13 @@ func latencyByMethod(reports []Record) map[string]*LatencySummary {
 		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 		out[m] = &LatencySummary{
 			Count: len(durs),
-			P50US: quantile(durs, 0.50),
-			P90US: quantile(durs, 0.90),
-			P99US: quantile(durs, 0.99),
+			P50US: obs.NearestRank(durs, 0.50),
+			P90US: obs.NearestRank(durs, 0.90),
+			P99US: obs.NearestRank(durs, 0.99),
 			MaxUS: durs[len(durs)-1],
 		}
 	}
 	return out
-}
-
-// quantile is the nearest-rank quantile of a sorted slice.
-func quantile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 func rates(reports []Record) *RateSummary {
@@ -278,8 +265,8 @@ func drift(reports []Record) []DriftPoint {
 
 // TrajectoryPoint is one commit's value of one benchmark metric.
 type TrajectoryPoint struct {
-	TimeMS int64  `json:"t_ms"`
-	Commit string `json:"commit,omitempty"`
+	TimeMS int64   `json:"t_ms"`
+	Commit string  `json:"commit,omitempty"`
 	Value  float64 `json:"value"`
 }
 

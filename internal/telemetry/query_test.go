@@ -3,6 +3,8 @@ package telemetry
 import (
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestComputeSeriesLatencyQuantiles(t *testing.T) {
@@ -170,12 +172,12 @@ func TestComputeTrajectory(t *testing.T) {
 }
 
 func TestQuantileEdgeCases(t *testing.T) {
-	if q := quantile(nil, 0.5); q != 0 {
+	if q := obs.NearestRank([]int64(nil), 0.5); q != 0 {
 		t.Errorf("empty quantile = %d", q)
 	}
 	one := []int64{7}
 	for _, p := range []float64{0.5, 0.9, 0.99} {
-		if q := quantile(one, p); q != 7 {
+		if q := obs.NearestRank(one, p); q != 7 {
 			t.Errorf("single-element p%v = %d, want 7", p, q)
 		}
 	}

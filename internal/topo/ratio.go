@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -31,16 +32,37 @@ func RCs(t geom.Tree, pins []geom.Point) []geom.Seg {
 	return out
 }
 
-// feature is a matchable topology point: a pin or a bending point, with its
-// driver-weighted similarity vector (§III-B3).
-type feature struct {
-	p  geom.Point
-	sv signal.SV
+// Shape is one side of the regularity ratio (Eq. 2), precomputed for a
+// (topology, bit) pair: its RCs, its features (pins and bending points,
+// i.e. the distinct RC endpoints) sorted by location with their
+// driver-weighted similarity vectors (§III-B3), and the RC set as a
+// feature adjacency matrix. A shape depends on nothing but the tree and
+// the bit, so callers that score one topology against many build it once.
+type Shape struct {
+	// rcs holds each RC as the indices of its two endpoint features.
+	rcs [][2]int32
+	// svs is the weighted SV of each feature, in location order.
+	svs []signal.SV
+	// adj[i*len(svs)+j] is set when features i and j bound an RC.
+	adj []bool
 }
 
-// features lists the distinct RC endpoints of the topology with weighted
-// SVs computed against the bit's pins.
-func features(rcs []geom.Seg, bit *signal.Bit) []feature {
+// NewShape precomputes the shape of topology t routed for bit.
+func NewShape(t geom.Tree, bit *signal.Bit) *Shape {
+	rcs := RCs(t, bit.PinLocs())
+	if len(rcs) == 0 {
+		return &Shape{}
+	}
+	pts := make([]geom.Point, 0, 2*len(rcs))
+	for _, s := range rcs {
+		pts = append(pts, s.A, s.B)
+	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i].Less(pts[j]) })
+	pts = slices.Compact(pts)
+	idx := func(p geom.Point) int32 {
+		return int32(sort.Search(len(pts), func(i int) bool { return !pts[i].Less(p) }))
+	}
+
 	w := signal.DriverWeightFor(bit)
 	pinIdx := make(map[geom.Point]int, len(bit.Pins))
 	for i, p := range bit.Pins {
@@ -48,27 +70,25 @@ func features(rcs []geom.Seg, bit *signal.Bit) []feature {
 			pinIdx[p.Loc] = i
 		}
 	}
-	seen := make(map[geom.Point]bool)
-	var out []feature
-	add := func(p geom.Point) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		var sv signal.SV
-		if i, isPin := pinIdx[p]; isPin {
-			sv = bit.WeightedPinSV(i, w)
+	sh := &Shape{
+		rcs: make([][2]int32, len(rcs)),
+		svs: make([]signal.SV, len(pts)),
+		adj: make([]bool, len(pts)*len(pts)),
+	}
+	for i, p := range pts {
+		if pi, isPin := pinIdx[p]; isPin {
+			sh.svs[i] = bit.WeightedPinSV(pi, w)
 		} else {
-			sv = signal.WeightedPointSV(p, bit, w)
+			sh.svs[i] = signal.WeightedPointSV(p, bit, w)
 		}
-		out = append(out, feature{p, sv})
 	}
-	for _, s := range rcs {
-		add(s.A)
-		add(s.B)
+	for k, s := range rcs {
+		a, b := idx(s.A), idx(s.B)
+		sh.rcs[k] = [2]int32{a, b}
+		sh.adj[int(a)*len(pts)+int(b)] = true
+		sh.adj[int(b)*len(pts)+int(a)] = true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].p.Less(out[j].p) })
-	return out
+	return sh
 }
 
 // Ratio computes the regularity ratio of two topologies (Eq. 2): pins and
@@ -77,62 +97,44 @@ func features(rcs []geom.Seg, bit *signal.Bit) []feature {
 // other topology, divided by the smaller RC count. The result is symmetric
 // and lies in [0, 1]; 1 means the topologies share one structure.
 func Ratio(t1 geom.Tree, bit1 *signal.Bit, t2 geom.Tree, bit2 *signal.Bit) float64 {
-	rc1 := RCs(t1, bit1.PinLocs())
-	rc2 := RCs(t2, bit2.PinLocs())
-	if len(rc1) == 0 || len(rc2) == 0 {
-		if len(rc1) == 0 && len(rc2) == 0 {
+	return ShapeRatio(NewShape(t1, bit1), NewShape(t2, bit2))
+}
+
+// ShapeRatio is Ratio on precomputed shapes.
+func ShapeRatio(s1, s2 *Shape) float64 {
+	if len(s1.rcs) == 0 || len(s2.rcs) == 0 {
+		if len(s1.rcs) == 0 && len(s2.rcs) == 0 {
 			return 1
 		}
 		return 0
 	}
-	f1 := features(rc1, bit1)
-	f2 := features(rc2, bit2)
-	m12 := matchedRCs(rc1, f1, rc2, f2)
-	m21 := matchedRCs(rc2, f2, rc1, f1)
-	matched := m12
-	if m21 > matched {
-		matched = m21
-	}
-	minRC := len(rc1)
-	if len(rc2) < minRC {
-		minRC = len(rc2)
-	}
-	if matched > minRC {
-		matched = minRC
-	}
+	matched := max(matchedRCs(s1, s2), matchedRCs(s2, s1))
+	minRC := min(len(s1.rcs), len(s2.rcs))
+	matched = min(matched, minRC)
 	return float64(matched) / float64(minRC)
 }
 
-// matchedRCs maps every feature of side 1 to its closest-SV feature on side
-// 2 and counts the RCs of side 1 whose mapped endpoints form an RC of side
-// 2.
-func matchedRCs(rc1 []geom.Seg, f1 []feature, rc2 []geom.Seg, f2 []feature) int {
-	mapped := make(map[geom.Point]geom.Point, len(f1))
-	for _, f := range f1 {
+// matchedRCs maps every feature of s1 to its closest-SV feature of s2
+// (the first in location order on ties) and counts the RCs of s1 whose
+// mapped endpoints form an RC of s2.
+func matchedRCs(s1, s2 *Shape) int {
+	var buf [64]int32
+	mapped := buf[:0]
+	for _, sv := range s1.svs {
 		best := 0
-		bestD := f.sv.L1(f2[0].sv)
-		for i := 1; i < len(f2); i++ {
-			if d := f.sv.L1(f2[i].sv); d < bestD {
+		bestD := sv.L1(s2.svs[0])
+		for i := 1; i < len(s2.svs); i++ {
+			if d := sv.L1(s2.svs[i]); d < bestD {
 				best, bestD = i, d
 			}
 		}
-		mapped[f.p] = f2[best].p
+		mapped = append(mapped, int32(best))
 	}
-	rcSet := make(map[[2]geom.Point]bool, len(rc2))
-	for _, s := range rc2 {
-		n := s.Norm()
-		rcSet[[2]geom.Point{n.A, n.B}] = true
-	}
+	n2 := len(s2.svs)
 	count := 0
-	for _, s := range rc1 {
-		a, b := mapped[s.A], mapped[s.B]
-		if a == b {
-			continue
-		}
-		if b.Less(a) {
-			a, b = b, a
-		}
-		if rcSet[[2]geom.Point{a, b}] {
+	for _, rc := range s1.rcs {
+		a, b := mapped[rc[0]], mapped[rc[1]]
+		if a != b && s2.adj[int(a)*n2+int(b)] {
 			count++
 		}
 	}
@@ -145,6 +147,12 @@ func matchedRCs(rc1 []geom.Seg, f1 []feature, rc2 []geom.Seg, f2 []feature) int 
 // candidate) yield NaN entries, which callers must never index — the
 // corresponding topology pair cannot be selected.
 func RatioTable(b1 []*geom.Tree, bit1 *signal.Bit, b2 []*geom.Tree, bit2 *signal.Bit) []float64 {
+	s2 := make([]*Shape, len(b2))
+	for j, t2 := range b2 {
+		if t2 != nil {
+			s2[j] = NewShape(*t2, bit2)
+		}
+	}
 	tab := make([]float64, len(b1)*len(b2))
 	for i, t1 := range b1 {
 		row := tab[i*len(b2) : (i+1)*len(b2)]
@@ -154,12 +162,13 @@ func RatioTable(b1 []*geom.Tree, bit1 *signal.Bit, b2 []*geom.Tree, bit2 *signal
 			}
 			continue
 		}
-		for j, t2 := range b2 {
-			if t2 == nil {
+		s1 := NewShape(*t1, bit1)
+		for j := range row {
+			if s2[j] == nil {
 				row[j] = math.NaN()
 				continue
 			}
-			row[j] = Ratio(*t1, bit1, *t2, bit2)
+			row[j] = ShapeRatio(s1, s2[j])
 		}
 	}
 	return tab
