@@ -151,6 +151,25 @@ func BenchmarkCluster(b *testing.B) {
 	b.ReportMetric(float64(stats.Clusters), "clusters")
 }
 
+// BenchmarkPDSolve measures Algorithm 2's selection on its own: pd.Solve on
+// Industry2 at the table1-pd scale, where PD commits hundreds of objects
+// (at benchScale it does almost no work). The build happens once outside
+// the timer; each op solves the same problem from scratch.
+func BenchmarkPDSolve(b *testing.B) {
+	d := benchgen.Scale(benchgen.Industry(2), 0.5).Generate()
+	p, err := route.Build(d, route.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var res pd.Result
+	for i := 0; i < b.N; i++ {
+		res = pd.Solve(p)
+	}
+	b.ReportMetric(float64(res.Assignment.RoutedObjects()), "routed")
+	b.ReportMetric(float64(res.Iterations), "iterations")
+}
+
 // BenchmarkFig11Heatmap and BenchmarkFig12Heatmap measure the congestion
 // map generation for Industry7 and Industry6.
 func BenchmarkFig11Heatmap(b *testing.B) { benchHeatmap(b, 7) }

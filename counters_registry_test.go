@@ -43,6 +43,9 @@ func TestSolveCountersRegistered(t *testing.T) {
 			obs.CounterClusterIterations, obs.CounterClusterPairEvals,
 			obs.CounterClusterRatioEvals, obs.CounterClusterTreeFits,
 		}
+		if method == PrimalDual {
+			names = append(names, obs.CounterPDPriceEvals)
+		}
 		for _, name := range names {
 			if _, ok := counters[name]; !ok {
 				t.Errorf("method %v: counter %q not emitted", method, name)

@@ -24,6 +24,7 @@ const (
 	CounterPDRouted         = "pd.routed"
 	CounterPDPruneChecked   = "pd.prune.checked"
 	CounterPDPruneSurvivors = "pd.prune.survivors"
+	CounterPDPriceEvals     = "pd.price_evals"
 	CounterPDUsagePoolGets  = "pd.usage.pool.gets"
 	CounterPDUsagePoolFresh = "pd.usage.pool.fresh"
 
@@ -106,7 +107,7 @@ var knownCounters = func() map[string]struct{} {
 		CounterBuildArenaPoolGets, CounterBuildArenaPoolFresh,
 		CounterKernelPairsEager, CounterKernelPairsLazy,
 		CounterPDIterations, CounterPDRouted,
-		CounterPDPruneChecked, CounterPDPruneSurvivors,
+		CounterPDPruneChecked, CounterPDPruneSurvivors, CounterPDPriceEvals,
 		CounterPDUsagePoolGets, CounterPDUsagePoolFresh,
 		CounterExactVars, CounterExactCons,
 		CounterILPSolves, CounterILPBBNodes, CounterILPBBPruned,

@@ -215,6 +215,7 @@ func (p *Problem) RebuildCtx(ctx context.Context, d *signal.Design, delta Delta)
 		return nil, stats, fmt.Errorf("route: %w", err)
 	}
 	np.indexBits()
+	np.indexPartners()
 	if err := np.buildKernel(ctx, workers); err != nil {
 		return nil, stats, fmt.Errorf("route: %w", err)
 	}

@@ -87,13 +87,12 @@ func (p *Problem) buildKernel(ctx context.Context, workers int) error {
 		rec.Add(obs.CounterKernelPairsLazy, int64(len(p.kern.pairs)-len(eager)))
 	}
 	return parallelFor(ctx, workers, len(eager), func(x int) {
-		p.fillPair(eager[x])
+		p.fillPair(eager[x], p.kern.pairs[eager[x]])
 	})
 }
 
-// fillPair computes (at most once) and returns the ratio table of a pair.
-func (p *Problem) fillPair(k pairKey) *pairTab {
-	t := p.kern.pairs[k]
+// fillPair computes (at most once) and returns t, the ratio table of pair k.
+func (p *Problem) fillPair(k pairKey, t *pairTab) *pairTab {
 	t.once.Do(func() {
 		t.tab = topo.RatioTable(
 			p.kern.backbones[k.lo], p.RepBit(k.lo),
@@ -104,20 +103,21 @@ func (p *Problem) fillPair(k pairKey) *pairTab {
 }
 
 // pairRatio returns the regularity ratio between 2-D topology ti of object
-// i and tq of object q (same group, i != q): two array indexings for
-// precomputed pairs, a one-time lazy fill for oversized ones, and a direct
-// computation for pairs outside the Partners neighborhood (which the
-// solvers never price, but direct callers may probe).
+// i and tq of object q (same group, i != q): one map lookup plus an array
+// indexing for precomputed pairs, a one-time lazy fill for oversized ones,
+// and a direct computation for pairs outside the Partners neighborhood
+// (which the solvers never price, but direct callers may probe).
 func (p *Problem) pairRatio(i, ti, q, tq int) float64 {
 	if q < i {
 		i, ti, q, tq = q, tq, i, ti
 	}
-	t := p.kern.pairs[pairKey{i, q}]
+	k := pairKey{i, q}
+	t := p.kern.pairs[k]
 	if t == nil {
 		return topo.Ratio(
 			*p.kern.backbones[i][ti], p.RepBit(i),
 			*p.kern.backbones[q][tq], p.RepBit(q),
 		)
 	}
-	return p.fillPair(pairKey{i, q}).tab[ti*p.kern.nTopo[q]+tq]
+	return p.fillPair(k, t).tab[ti*p.kern.nTopo[q]+tq]
 }

@@ -100,6 +100,10 @@ type Problem struct {
 	// bit's position within it, replacing the linear all-objects scan that
 	// metrics and refinement performed per bit.
 	bitObj map[[2]int]bitRef
+	// partners[partnerOff[i]:partnerOff[i+1]] is Partners(i), computed once
+	// per build so the solvers' hot loops read it without allocating.
+	partners   []int
+	partnerOff []int32
 
 	// usagePool hands out pooled Usage trackers for Grid (see UsagePool).
 	usagePool *grid.UsagePool
@@ -212,6 +216,7 @@ func BuildCtx(ctx context.Context, d *signal.Design, opt Options) (*Problem, err
 		rec.Add(obs.CounterBuildArenaPoolFresh, fresh1-arenaFresh0)
 	}
 	p.indexBits()
+	p.indexPartners()
 	if err := obs.Do(ctx, obs.StageKernel, workers, func(ctx context.Context) error {
 		return p.buildKernel(ctx, workers)
 	}); err != nil {
@@ -284,30 +289,39 @@ func (p *Problem) Cost(i, j int) float64 {
 }
 
 // Partners returns the same-group objects that contribute pair terms with
-// object i, respecting the PairNeighbors bound.
+// object i, respecting the PairNeighbors bound, in group order. The slice
+// is shared problem state: callers must not modify it.
 func (p *Problem) Partners(i int) []int {
-	objs := p.GroupObjs[p.Objects[i].GroupIdx]
-	if len(objs) <= 1 {
-		return nil
-	}
-	pos := -1
-	for k, oi := range objs {
-		if oi == i {
-			pos = k
-			break
+	lo, hi := p.partnerOff[i], p.partnerOff[i+1]
+	return p.partners[lo:hi:hi]
+}
+
+// indexPartners computes every object's partner list (see Partners) into
+// one flat CSR slice: a counting pass, a prefix sum, a fill.
+func (p *Problem) indexPartners() {
+	each := func(fn func(i, q int)) {
+		for _, objs := range p.GroupObjs {
+			for pos, i := range objs {
+				for k, q := range objs {
+					if k != pos && (p.Opt.PairNeighbors <= 0 || iabs(k-pos) <= p.Opt.PairNeighbors) {
+						fn(i, q)
+					}
+				}
+			}
 		}
 	}
-	var out []int
-	for k, oi := range objs {
-		if oi == i {
-			continue
-		}
-		if p.Opt.PairNeighbors > 0 && iabs(k-pos) > p.Opt.PairNeighbors {
-			continue
-		}
-		out = append(out, oi)
+	off := make([]int32, len(p.Objects)+1)
+	each(func(i, _ int) { off[i+1]++ })
+	for i := range p.Objects {
+		off[i+1] += off[i]
 	}
-	return out
+	flat := make([]int, off[len(p.Objects)])
+	fill := append([]int32(nil), off[:len(p.Objects)]...)
+	each(func(i, q int) {
+		flat[fill[i]] = q
+		fill[i]++
+	})
+	p.partners, p.partnerOff = flat, off
 }
 
 // PairCost returns c(i,j,p,q) of formulation (3a): the irregularity cost of
