@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -24,6 +25,8 @@ import (
 	"repro/internal/postopt"
 	"repro/internal/report"
 	"repro/internal/route"
+	"repro/internal/scenario"
+	"repro/internal/signal"
 	"repro/internal/solvecache"
 	"repro/internal/steiner"
 
@@ -168,6 +171,76 @@ func BenchmarkPDSolve(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.Assignment.RoutedObjects()), "routed")
 	b.ReportMetric(float64(res.Iterations), "iterations")
+}
+
+// BenchmarkRouteBuild measures candidate generation where it dominates:
+// route.Build of Industry2, 5 and 6 at the table1-pd scale, sequentially
+// (Workers: 1), so ns/op is the work of identification, topology
+// generation, 3-D expansion and the kernel fill.
+func BenchmarkRouteBuild(b *testing.B) {
+	var ds []*signal.Design
+	for _, n := range []int{2, 5, 6} {
+		ds = append(ds, benchgen.Scale(benchgen.Industry(n), 0.5).Generate())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	cands := 0
+	for i := 0; i < b.N; i++ {
+		cands = 0
+		for _, d := range ds {
+			p, err := route.Build(d, route.Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, cs := range p.Cands {
+				cands += len(cs)
+			}
+		}
+	}
+	b.ReportMetric(float64(cands), "candidates")
+}
+
+// BenchmarkRebuild measures incremental problem construction on an ECO
+// chain: 18 seeded scenario.Mutate edits of Industry2 at the table1-pd
+// scale, each rebuilt from the previous edit's problem with RebuildCtx.
+// The base build and the deltas are prepared outside the timer.
+func BenchmarkRebuild(b *testing.B) {
+	const edits = 18
+	base := benchgen.Scale(benchgen.Industry(2), 0.5).Generate()
+	p0, err := route.Build(base, route.Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	chain := []*signal.Design{base}
+	deltas := make([]route.Delta, edits)
+	for k := 0; k < edits; k++ {
+		next, _ := scenario.Mutate(r, chain[k])
+		delta, ok := route.DiffDesigns(chain[k], next)
+		if !ok {
+			b.Fatalf("edit %d is not delta-compatible", k)
+		}
+		chain, deltas[k] = append(chain, next), delta
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var kept, regen int
+	for i := 0; i < b.N; i++ {
+		kept, regen = 0, 0
+		p := p0
+		for k := 0; k < edits; k++ {
+			np, stats, err := p.RebuildCtx(ctx, chain[k+1], deltas[k])
+			if err != nil {
+				b.Fatal(err)
+			}
+			p = np
+			kept += stats.KeptObjects
+			regen += stats.Regenerated
+		}
+	}
+	b.ReportMetric(float64(kept), "kept")
+	b.ReportMetric(float64(regen), "regenerated")
 }
 
 // BenchmarkFig11Heatmap and BenchmarkFig12Heatmap measure the congestion

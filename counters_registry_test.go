@@ -40,6 +40,7 @@ func TestSolveCountersRegistered(t *testing.T) {
 		// Work counters every post-optimized solve must emit, even when a
 		// stage has nothing to do (zero is a reading; absence is a bug).
 		names := []string{
+			obs.CounterBuildCandidates, obs.CounterBuildExpanded,
 			obs.CounterClusterIterations, obs.CounterClusterPairEvals,
 			obs.CounterClusterRatioEvals, obs.CounterClusterTreeFits,
 		}

@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// This file holds the allocation-free SoA kernels behind Canon, WireLength
-// and Bends. The map-and-nested-slice implementations they replace dominated
+// This file holds the allocation-free SoA kernels behind Canon, WireLength,
+// Bends and Connected. The map-and-nested-slice implementations they replace dominated
 // the candidate-build and selection hot paths; the kernels below reduce each
 // of them to packed-key sorts plus linear merges over scratch slices owned
 // by a pooled Arena, so steady-state callers allocate nothing. Outputs are
@@ -64,11 +64,12 @@ func packPt(x, y int) uint64 {
 // grown scratch instead of reallocating it. An Arena is not safe for
 // concurrent use; pool one per goroutine.
 type Arena struct {
-	recs  []lineRec
-	cuts  []int32
-	hpts  []uint64
-	vpts  []uint64
-	canon []Seg
+	recs   []lineRec
+	cuts   []int32
+	hpts   []uint64
+	vpts   []uint64
+	canon  []Seg
+	parent []int32
 }
 
 var arenaPool = sync.Pool{New: func() any {
@@ -261,6 +262,66 @@ func (a *Arena) Canon(segs []Seg) []Seg {
 	return out
 }
 
+// Components counts the connected components of the union of the
+// positive-length segments; zero-length segments are ignored, as Canon
+// ignores them, so a set with no positive-length segment has 0. This is
+// the component count of the canonical segment graph without building it:
+// merged runs of one direction are disjoint (merge joins touching collinear
+// runs), so two runs share a point only when one is horizontal, the other
+// vertical and they cross or touch — exactly where Canon splits both at a
+// common node. Union-find over the runs, joining every touching H/V pair,
+// therefore yields the same components as a walk of the canonical graph.
+func (a *Arena) Components(segs []Seg) int {
+	if !segsInPackedRange(segs) {
+		return wideComponents(segs)
+	}
+	lines := a.merge(segs)
+	hb := len(lines)
+	for i, l := range lines {
+		if l.vertical() {
+			hb = i
+			break
+		}
+	}
+	parent := a.parent[:0]
+	for i := range lines {
+		parent = append(parent, int32(i))
+	}
+	a.parent = parent
+	comps := len(lines)
+	for i := 0; i < hb && comps > 1; i++ {
+		h := lines[i]
+		hy, hlo := int32(h.fixed()), int32(h.lo())
+		for j := hb; j < len(lines); j++ {
+			v := lines[j]
+			vx := int32(v.fixed())
+			if vx >= hlo && vx <= h.hi && hy >= int32(v.lo()) && hy <= v.hi && union(parent, int32(i), int32(j)) {
+				comps--
+			}
+		}
+	}
+	return comps
+}
+
+// union joins the sets of x and y in the parent forest (path halving) and
+// reports whether they were distinct.
+func union(parent []int32, x, y int32) bool {
+	x, y = find(parent, x), find(parent, y)
+	if x == y {
+		return false
+	}
+	parent[y] = x
+	return true
+}
+
+func find(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
+}
+
 // ---- wide-coordinate fallback ----
 //
 // The packed keys carry biased 31-bit coordinates, plenty for G-cell grids
@@ -381,6 +442,27 @@ func wideAppendCanon(dst []Seg, segs []Seg) []Seg {
 		}
 	}
 	return dst
+}
+
+func wideComponents(segs []Seg) int {
+	lines := wideMerge(segs)
+	parent := make([]int32, len(lines))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	comps := len(lines)
+	for i, h := range lines {
+		if h.vertical {
+			continue
+		}
+		for j, v := range lines {
+			if v.vertical && v.fixed >= h.lo && v.fixed <= h.hi && h.fixed >= v.lo && h.fixed <= v.hi &&
+				union(parent, int32(i), int32(j)) {
+				comps--
+			}
+		}
+	}
+	return comps
 }
 
 func wideBends(segs []Seg) int {

@@ -94,22 +94,6 @@ func (t Tree) Nodes() []Point {
 	return out
 }
 
-// adjacency returns node list and adjacency (indices) of the canonical tree.
-func (t Tree) adjacency() ([]Point, map[Point][]Point) {
-	c := t.Canon()
-	adj := make(map[Point][]Point)
-	for _, s := range c.Segs {
-		adj[s.A] = append(adj[s.A], s.B)
-		adj[s.B] = append(adj[s.B], s.A)
-	}
-	nodes := make([]Point, 0, len(adj))
-	for p := range adj {
-		nodes = append(nodes, p)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Less(nodes[j]) })
-	return nodes, adj
-}
-
 // Bends returns the number of bending points: canonical nodes of degree 2
 // whose incident segments are perpendicular.
 func (t Tree) Bends() int {
@@ -163,50 +147,38 @@ func (t Tree) OnTree(p Point) bool {
 }
 
 // Connected reports whether the tree is a single connected component that
-// touches every one of the given pins. An empty tree is connected iff all
-// pins coincide.
+// touches every one of the given pins. Zero-length segments are ignored, as
+// in Canon; a tree with no positive-length segment is connected iff all
+// pins coincide (and, when it has segments, lie on one of them).
 func (t Tree) Connected(pins []Point) bool {
-	if len(t.Segs) == 0 {
-		for _, p := range pins[1:] {
+	if len(t.Segs) > 0 {
+		for _, p := range pins {
+			if !t.OnTree(p) {
+				return false
+			}
+		}
+	}
+	a := GetArena()
+	comps := a.Components(t.Segs)
+	PutArena(a)
+	if comps == 0 {
+		for _, p := range pins {
 			if p != pins[0] {
 				return false
 			}
 		}
 		return true
 	}
-	for _, p := range pins {
-		if !t.OnTree(p) {
-			return false
-		}
-	}
-	nodes, adj := t.adjacency()
-	seen := map[Point]bool{nodes[0]: true}
-	stack := []Point{nodes[0]}
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, q := range adj[p] {
-			if !seen[q] {
-				seen[q] = true
-				stack = append(stack, q)
-			}
-		}
-	}
-	return len(seen) == len(nodes)
+	return comps == 1
 }
 
 // IsTree reports whether the canonical segment graph is connected and
 // acyclic (|E| == |V| - 1).
 func (t Tree) IsTree() bool {
-	if len(t.Segs) == 0 {
-		return true
-	}
 	if !t.Connected(nil) {
 		return false
 	}
-	c := t.Canon()
-	nodes, _ := t.adjacency()
-	return len(c.Segs) == len(nodes)-1
+	return len(t.Canon().Segs) == max(len(t.Nodes())-1, 0)
 }
 
 // PathLength returns the length of the unique path between two points on

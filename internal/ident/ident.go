@@ -8,9 +8,10 @@
 package ident
 
 import (
-	"fmt"
+	"bytes"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/geom"
 	"repro/internal/signal"
@@ -47,19 +48,52 @@ func (o *Object) Bits(g *signal.Group) []*signal.Bit {
 	return out
 }
 
-// signature produces the canonical isomorphism key of a bit: its pin count,
-// the driver SV, and the sorted SVs of all pins. Bits are topologically
-// equivalent candidates iff their signatures match.
-func signature(b *signal.Bit) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "n%d|d%s|", len(b.Pins), b.DriverSV())
-	svs := make([]string, 0, len(b.Pins))
-	for i := range b.Pins {
-		svs = append(svs, b.PinSV(i).String())
+// keyScratch holds the reused buffers behind the identification keys, so
+// keying a group's bits renders into the same bytes instead of building a
+// string per pin. A zero keyScratch is ready to use.
+type keyScratch struct {
+	key   []byte
+	field []byte // rendered per-pin fields, back to back
+	ends  []int  // ends[i] is the end offset of field i
+	order []int
+}
+
+// fieldAt returns field i of the last render.
+func (sc *keyScratch) fieldAt(i int) []byte {
+	lo := 0
+	if i > 0 {
+		lo = sc.ends[i-1]
 	}
-	sort.Strings(svs)
-	sb.WriteString(strings.Join(svs, ";"))
-	return sb.String()
+	return sc.field[lo:sc.ends[i]]
+}
+
+// signature renders the canonical isomorphism key of a bit: its pin count,
+// the driver SV, and the sorted SVs of all pins, as
+// "n<count>|d<driver SV>|<SV>;<SV>;...". Bits are topologically equivalent
+// candidates iff their signatures match. The result aliases the scratch
+// and is valid until its next use.
+func (sc *keyScratch) signature(b *signal.Bit) []byte {
+	k := append(sc.key[:0], 'n')
+	k = strconv.AppendInt(k, int64(len(b.Pins)), 10)
+	k = append(k, "|d"...)
+	k = b.DriverSV().AppendTo(k)
+	k = append(k, '|')
+	sc.field, sc.ends, sc.order = sc.field[:0], sc.ends[:0], sc.order[:0]
+	for i := range b.Pins {
+		sc.field = b.PinSV(i).AppendTo(sc.field)
+		sc.ends = append(sc.ends, len(sc.field))
+		sc.order = append(sc.order, i)
+	}
+	// Equal fields are equal bytes, so the sort's tie order cannot show.
+	slices.SortFunc(sc.order, func(x, y int) int { return bytes.Compare(sc.fieldAt(x), sc.fieldAt(y)) })
+	for j, i := range sc.order {
+		if j > 0 {
+			k = append(k, ';')
+		}
+		k = append(k, sc.fieldAt(i)...)
+	}
+	sc.key = k
+	return k
 }
 
 // Partition splits the group into routing objects. Bits with identical
@@ -76,26 +110,31 @@ func Partition(groupIdx int, g *signal.Group) []Object {
 	// Level 2: within a driver class, split by the full pin-SV signature
 	// (the gray leaf nodes). Only bits that already share a driver SV reach
 	// this more expensive comparison.
-	bySig := make(map[string][]int)
+	// classes[sigIdx[sig]] lists the bits with signature sig.
+	var sc keyScratch
+	sigIdx := make(map[string]int)
+	var classes [][]int
 	for _, members := range byDriver {
 		for _, bi := range members {
-			sig := signature(&g.Bits[bi])
-			bySig[sig] = append(bySig[sig], bi)
+			sig := sc.signature(&g.Bits[bi])
+			if c, ok := sigIdx[string(sig)]; ok {
+				classes[c] = append(classes[c], bi)
+			} else {
+				sigIdx[string(sig)] = len(classes)
+				classes = append(classes, []int{bi})
+			}
 		}
 	}
-	sigs := make([]string, 0, len(bySig))
-	for s := range bySig {
-		sigs = append(sigs, s)
+	for _, members := range classes {
+		sort.Ints(members)
 	}
-	sort.Slice(sigs, func(i, j int) bool { return bySig[sigs[i]][0] < bySig[sigs[j]][0] })
+	sort.Slice(classes, func(i, j int) bool { return classes[i][0] < classes[j][0] })
 
 	var out []Object
-	for _, s := range sigs {
-		members := bySig[s]
-		sort.Ints(members)
+	for _, members := range classes {
 		o := Object{GroupIdx: groupIdx, BitIdx: members}
 		o.Rep = centerRep(g, members)
-		o.PinMap = buildPinMaps(g, members, o.Rep)
+		o.PinMap = buildPinMaps(g, members, o.Rep, &sc)
 		out = append(out, o)
 	}
 	return out
@@ -128,30 +167,51 @@ func centerRep(g *signal.Group, members []int) int {
 	return best
 }
 
-// canonicalPinOrder returns the bit's pin indices sorted by (SV, offset
-// from driver). Pins with equal SVs are disambiguated by their relative
-// offset, making cross-bit mapping deterministic and consistent.
-func canonicalPinOrder(b *signal.Bit) []int {
+// canonicalPinOrder returns the bit's pin indices sorted by the key
+// "<SV>|<dx>|<dy>": the pin's SV, then its offset from the driver, each
+// axis biased by 2^20 and zero-padded to eight characters (fmt's %08d).
+// Pins with equal SVs are disambiguated by their relative offset, making
+// cross-bit mapping deterministic and consistent.
+func canonicalPinOrder(b *signal.Bit, sc *keyScratch) []int {
 	idx := make([]int, len(b.Pins))
-	keys := make([]string, len(b.Pins))
+	sc.field, sc.ends = sc.field[:0], sc.ends[:0]
 	drv := b.DriverLoc()
 	for i := range idx {
 		idx[i] = i
 		off := b.Pins[i].Loc.Sub(drv)
-		keys[i] = fmt.Sprintf("%s|%08d|%08d", b.PinSV(i), off.X+1<<20, off.Y+1<<20)
+		sc.field = b.PinSV(i).AppendTo(sc.field)
+		sc.field = appendPad8(append(sc.field, '|'), off.X+1<<20)
+		sc.field = appendPad8(append(sc.field, '|'), off.Y+1<<20)
+		sc.ends = append(sc.ends, len(sc.field))
 	}
-	sort.Slice(idx, func(a, c int) bool { return keys[idx[a]] < keys[idx[c]] })
+	sort.Slice(idx, func(a, c int) bool { return bytes.Compare(sc.fieldAt(idx[a]), sc.fieldAt(idx[c])) < 0 })
 	return idx
+}
+
+// appendPad8 appends v as fmt's %08d renders it: zero-padded to eight
+// characters, a minus sign counting toward the width.
+func appendPad8(dst []byte, v int) []byte {
+	var tmp [24]byte
+	digits := strconv.AppendInt(tmp[:0], int64(v), 10)
+	width := 8
+	if v < 0 {
+		dst = append(dst, '-')
+		digits, width = digits[1:], 7
+	}
+	for n := len(digits); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 // buildPinMaps maps each member bit's pins onto the representative's pins.
 // Because all members share the same SV signature, sorting both pin lists
 // by canonical order aligns corresponding pins positionally.
-func buildPinMaps(g *signal.Group, members []int, rep int) [][]int {
-	repOrder := canonicalPinOrder(&g.Bits[members[rep]])
+func buildPinMaps(g *signal.Group, members []int, rep int, sc *keyScratch) [][]int {
+	repOrder := canonicalPinOrder(&g.Bits[members[rep]], sc)
 	maps := make([][]int, len(members))
 	for k, bi := range members {
-		order := canonicalPinOrder(&g.Bits[bi])
+		order := canonicalPinOrder(&g.Bits[bi], sc)
 		m := make([]int, len(order))
 		for pos, repPin := range repOrder {
 			m[repPin] = order[pos]

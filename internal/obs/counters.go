@@ -14,6 +14,7 @@ const (
 	// Problem construction (internal/route).
 	CounterBuildObjects        = "build.objects"
 	CounterBuildCandidates     = "build.candidates"
+	CounterBuildExpanded       = "build.candidates_expanded"
 	CounterBuildArenaPoolGets  = "build.arena.pool.gets"
 	CounterBuildArenaPoolFresh = "build.arena.pool.fresh"
 	CounterKernelPairsEager    = "kernel.pairs.eager"
@@ -103,7 +104,7 @@ const (
 // knownCounters is the registry: every canonical name above, as a set.
 var knownCounters = func() map[string]struct{} {
 	names := []string{
-		CounterBuildObjects, CounterBuildCandidates,
+		CounterBuildObjects, CounterBuildCandidates, CounterBuildExpanded,
 		CounterBuildArenaPoolGets, CounterBuildArenaPoolFresh,
 		CounterKernelPairsEager, CounterKernelPairsLazy,
 		CounterPDIterations, CounterPDRouted,

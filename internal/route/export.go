@@ -85,6 +85,9 @@ func ReadRoutedJSON(rd io.Reader) (map[string]geom.Tree, error) {
 		if !eb.Routed {
 			continue
 		}
+		if len(eb.Pins) == 0 {
+			return nil, fmt.Errorf("route: %s/%s is routed but has no pins", eb.Group, eb.Bit)
+		}
 		var t geom.Tree
 		for _, s := range eb.Segs {
 			a := geom.Pt(s[0], s[1])

@@ -81,3 +81,46 @@ func TestReadRoutedJSONRejectsBrokenRoutes(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 }
+
+func TestReadRoutedJSONDegenerateBits(t *testing.T) {
+	for _, tc := range []struct {
+		name, doc string
+		ok        bool
+	}{
+		{"routed bit without pins", `{"bits":[{"routed":true,"pins":[]}]}`, false},
+		{"routed bit with null pins", `{"bits":[{"routed":true}]}`, false},
+		{"unrouted bit without pins", `{"bits":[{"routed":false,"pins":[]}]}`, true},
+		{"single pin, no segments", `{"bits":[{"routed":true,"pins":[[2,3]]}]}`, true},
+		{"coincident pins, zero-length segment", `{"bits":[{"routed":true,"pins":[[2,3],[2,3]],"segs":[[2,3,2,3]]}]}`, true},
+		{"distinct pins, zero-length segment", `{"bits":[{"routed":true,"pins":[[2,3],[4,3]],"segs":[[2,3,2,3]]}]}`, false},
+		{"wide coordinates", `{"bits":[{"routed":true,"pins":[[0,0],[4000000000,0]],"segs":[[0,0,4000000000,0]]}]}`, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReadRoutedJSON(strings.NewReader(tc.doc))
+			if (err == nil) != tc.ok {
+				t.Errorf("ReadRoutedJSON error = %v, want ok=%v", err, tc.ok)
+			}
+		})
+	}
+}
+
+// FuzzReadRoutedJSON proves ReadRoutedJSON never panics: whatever bytes
+// arrive, it returns either trees that connect their pins or an error.
+func FuzzReadRoutedJSON(f *testing.F) {
+	f.Add([]byte(`{"routed":true,"pins":[]}`))
+	f.Add([]byte(`{"bits":[{"routed":true,"pins":[]}]}`))
+	f.Add([]byte(`{"bits":[{"routed":true,"pins":[[1,1],[5,5]],"segs":[[1,1,1,1]]}]}`))
+	f.Add([]byte(`{"design":"x","bits":[{"group":"g","bit":"b","routed":true,"pins":[[0,0],[9,0],[4,3]],"driver":0,"segs":[[0,0,9,0],[4,0,4,3]]}]}`))
+	f.Add([]byte(`{"bits":[{"routed":true,"pins":[[0,0],[4000000000,0]],"segs":[[0,0,4000000000,0]]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		trees, err := ReadRoutedJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for key, tr := range trees {
+			if !tr.Connected(nil) {
+				t.Errorf("%s: accepted a disconnected tree %v", key, tr)
+			}
+		}
+	})
+}

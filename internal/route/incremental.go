@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/ident"
 	"repro/internal/signal"
 	"repro/internal/topo"
@@ -209,7 +208,7 @@ func (p *Problem) RebuildCtx(ctx context.Context, d *signal.Design, delta Delta)
 	err := parallelFor(ctx, workers, len(regen), func(i int) {
 		idx := regen[i]
 		obj := &np.Objects[idx]
-		np.Cands[idx] = genCandidates(np.Grid, &d.Groups[obj.GroupIdx], obj, np.Opt)
+		np.Cands[idx], _ = genCandidates(np.Grid, &d.Groups[obj.GroupIdx], obj, np.Opt, nil, idx)
 	})
 	if err != nil {
 		return nil, stats, fmt.Errorf("route: %w", err)
@@ -222,48 +221,38 @@ func (p *Problem) RebuildCtx(ctx context.Context, d *signal.Design, delta Delta)
 	return np, stats, nil
 }
 
-// genCandidates generates the candidate list for one object the same way
-// BuildCtx does: 2-D topology generation, 3-D layer expansion, and the
-// diversity-preserving trim. opt must already carry defaults.
-func genCandidates(gr *grid.Grid, g *signal.Group, obj *ident.Object, opt Options) []topo.Candidate {
-	ots := topo.ObjectTopologies(g, obj, opt.Topo)
-	return trimDiverse(topo.Expand3D(gr, ots, opt.Topo), opt.MaxCandidates)
-}
-
 // candFootprint returns the bounding box, in cell coordinates, of every
 // cell any candidate of object oi touches; objects with no candidates fall
 // back to the object's pin bounding box. This is the region an edit must
 // intersect for the object's committed candidates to be invalidated.
+//
+// The layer variants of a 2-D topology cover the same cells, and the cells
+// a topology's edges touch span exactly the endpoints of its bit trees'
+// positive-length segments, so the box is taken over those endpoints, once
+// per distinct topology.
 func (p *Problem) candFootprint(oi int) geom.Rect {
 	var r geom.Rect
 	have := false
-	add := func(x, y int) {
+	add := func(pt geom.Point) {
 		if !have {
-			r = geom.Rect{Lo: geom.Point{X: x, Y: y}, Hi: geom.Point{X: x, Y: y}}
+			r = geom.Rect{Lo: pt, Hi: pt}
 			have = true
 			return
 		}
-		if x < r.Lo.X {
-			r.Lo.X = x
-		}
-		if y < r.Lo.Y {
-			r.Lo.Y = y
-		}
-		if x > r.Hi.X {
-			r.Hi.X = x
-		}
-		if y > r.Hi.Y {
-			r.Hi.Y = y
-		}
+		r.Lo.X, r.Lo.Y = min(r.Lo.X, pt.X), min(r.Lo.Y, pt.Y)
+		r.Hi.X, r.Hi.Y = max(r.Hi.X, pt.X), max(r.Hi.Y, pt.Y)
 	}
-	for ci := range p.Cands[oi] {
-		for _, e := range p.Cands[oi][ci].Edges {
-			x, y := p.Grid.EdgeCell(int(e.Layer), int(e.Idx))
-			add(x, y)
-			if p.Grid.Layers[e.Layer].Dir == grid.Horizontal {
-				add(x+1, y)
-			} else {
-				add(x, y+1)
+	cands := p.Cands[oi]
+	for ci := range cands {
+		if seenTopo(cands[:ci], cands[ci].TopoIdx) {
+			continue
+		}
+		for _, t := range cands[ci].Topo.BitTrees {
+			for _, s := range t.Segs {
+				if s.A != s.B {
+					add(s.A)
+					add(s.B)
+				}
 			}
 		}
 	}
@@ -272,9 +261,19 @@ func (p *Problem) candFootprint(oi int) geom.Rect {
 		g := &p.Design.Groups[obj.GroupIdx]
 		for _, bi := range obj.BitIdx {
 			for _, pt := range g.Bits[bi].PinLocs() {
-				add(pt.X, pt.Y)
+				add(pt)
 			}
 		}
 	}
 	return r
+}
+
+// seenTopo reports whether any of cands has 2-D topology ti.
+func seenTopo(cands []topo.Candidate, ti int) bool {
+	for k := range cands {
+		if cands[k].TopoIdx == ti {
+			return true
+		}
+	}
+	return false
 }

@@ -8,7 +8,6 @@ package route
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -172,41 +171,34 @@ func BuildCtx(ctx context.Context, d *signal.Design, opt Options) (*Problem, err
 	if rec != nil {
 		arenaGets0, arenaFresh0 = geom.ArenaCounters()
 	}
+	// expanded[i] counts the candidates object i priced before the trim;
+	// only a traced build reads it.
+	var expanded []int
+	if rec != nil {
+		expanded = make([]int, len(p.Objects))
+	}
 	err := obs.Do(ctx, obs.StageBuild, workers, func(ctx context.Context) error {
 		return parallelFor(ctx, workers, len(p.Objects), func(i int) {
 			obj := &p.Objects[i]
-			g := &d.Groups[obj.GroupIdx]
-			if rec == nil {
-				ots := topo.ObjectTopologies(g, obj, opt.Topo)
-				cands := topo.Expand3D(p.Grid, ots, opt.Topo)
-				p.Cands[i] = trimDiverse(cands, opt.MaxCandidates)
-				return
+			var n int
+			p.Cands[i], n = genCandidates(p.Grid, &d.Groups[obj.GroupIdx], obj, opt, rec, i)
+			if expanded != nil {
+				expanded[i] = n
 			}
-			// Traced build: time the 2-D topology generation and the 3-D
-			// expansion separately, one event pair per object.
-			t0 := time.Now()
-			ots := topo.ObjectTopologies(g, obj, opt.Topo)
-			t1 := time.Now()
-			rec.EmitAt("build.topo", "build", t0, t1.Sub(t0), obs.Args{
-				"object": float64(i), "topologies": float64(len(ots)),
-			})
-			cands := topo.Expand3D(p.Grid, ots, opt.Topo)
-			p.Cands[i] = trimDiverse(cands, opt.MaxCandidates)
-			rec.EmitAt("build.expand", "build", t1, time.Since(t1), obs.Args{
-				"object": float64(i), "candidates": float64(len(p.Cands[i])),
-			})
 		})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("route: %w", err)
 	}
 	if rec != nil {
-		total := 0
+		total, priced := 0, 0
 		for i := range p.Cands {
 			total += len(p.Cands[i])
+			priced += expanded[i]
 		}
 		rec.Add(obs.CounterBuildObjects, int64(len(p.Objects)))
 		rec.Add(obs.CounterBuildCandidates, int64(total))
+		rec.Add(obs.CounterBuildExpanded, int64(priced))
 		// Pooled-vs-fresh geometry-arena split for this build. The global
 		// counters are shared across concurrent builds, so the deltas are
 		// attributions, not exact per-build counts; in the common one-build-
@@ -239,37 +231,28 @@ func (p *Problem) indexBits() {
 	}
 }
 
-// trimDiverse caps the candidate list at maxN while keeping topology
-// diversity: candidates are taken round-robin across 2-D topologies in
-// cost order, so a cheap topology's layer variants cannot crowd out the
-// detour topologies the solver needs under congestion.
-func trimDiverse(cands []topo.Candidate, maxN int) []topo.Candidate {
-	if len(cands) <= maxN {
-		return cands
+// genCandidates generates the candidate list for one object: 2-D
+// topology generation, then 3-D layer expansion trimmed to
+// opt.MaxCandidates. It also returns how many candidates the expansion
+// priced before the trim. With a recorder it times the two steps as a
+// build.topo and a build.expand event for object i. opt must already carry
+// defaults.
+func genCandidates(gr *grid.Grid, g *signal.Group, obj *ident.Object, opt Options, rec *obs.Recorder, i int) ([]topo.Candidate, int) {
+	if rec == nil {
+		ots := topo.ObjectTopologies(g, obj, opt.Topo)
+		return topo.Expand3D(gr, ots, opt.Topo, opt.MaxCandidates)
 	}
-	byTopo := make(map[int][]topo.Candidate)
-	var order []int
-	for _, c := range cands { // already cost-sorted
-		if _, seen := byTopo[c.TopoIdx]; !seen {
-			order = append(order, c.TopoIdx)
-		}
-		byTopo[c.TopoIdx] = append(byTopo[c.TopoIdx], c)
-	}
-	out := make([]topo.Candidate, 0, maxN)
-	for round := 0; len(out) < maxN; round++ {
-		added := false
-		for _, ti := range order {
-			if round < len(byTopo[ti]) && len(out) < maxN {
-				out = append(out, byTopo[ti][round])
-				added = true
-			}
-		}
-		if !added {
-			break
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
-	return out
+	t0 := time.Now()
+	ots := topo.ObjectTopologies(g, obj, opt.Topo)
+	t1 := time.Now()
+	rec.EmitAt("build.topo", "build", t0, t1.Sub(t0), obs.Args{
+		"object": float64(i), "topologies": float64(len(ots)),
+	})
+	cands, n := topo.Expand3D(gr, ots, opt.Topo, opt.MaxCandidates)
+	rec.EmitAt("build.expand", "build", t1, time.Since(t1), obs.Args{
+		"object": float64(i), "candidates": float64(len(cands)),
+	})
+	return cands, n
 }
 
 // Group returns the signal group owning object i.

@@ -56,6 +56,15 @@ func TestBuildCtxEmitsPerObjectEvents(t *testing.T) {
 	if len(topoSeen) != len(p.Objects) || len(expandSeen) != len(p.Objects) {
 		t.Errorf("events cover %d topo / %d expand of %d objects", len(topoSeen), len(expandSeen), len(p.Objects))
 	}
+	total := 0
+	for i := range p.Cands {
+		total += len(p.Cands[i])
+	}
+	c := rec.Counters()
+	if c[obs.CounterBuildCandidates] != int64(total) || c[obs.CounterBuildExpanded] < int64(total) {
+		t.Errorf("%s = %d, %s = %d; want %d kept and at least as many priced",
+			obs.CounterBuildCandidates, c[obs.CounterBuildCandidates], obs.CounterBuildExpanded, c[obs.CounterBuildExpanded], total)
+	}
 }
 
 // TestBuildCtxUntracedIdentical pins that tracing never changes the built

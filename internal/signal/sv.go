@@ -1,8 +1,7 @@
 package signal
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/geom"
 )
@@ -58,11 +57,21 @@ type SV [NumDirs]int
 
 // String renders the vector as "{a,b,...}" matching the paper's notation.
 func (v SV) String() string {
-	parts := make([]string, NumDirs)
+	var buf [4 * NumDirs]byte
+	return string(v.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String rendering of the vector to dst and returns
+// the extended slice; key builders use it to render into reused buffers.
+func (v SV) AppendTo(dst []byte) []byte {
+	dst = append(dst, '{')
 	for i, n := range v {
-		parts[i] = fmt.Sprint(n)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(n), 10)
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return append(dst, '}')
 }
 
 // L1 returns the L1 distance between two similarity vectors, the metric

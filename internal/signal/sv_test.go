@@ -1,6 +1,8 @@
 package signal
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -182,5 +184,21 @@ func TestSVOf(t *testing.T) {
 	v := SVOf(geom.Pt(0, 0), []geom.Point{geom.Pt(1, 0), geom.Pt(1, 0), geom.Pt(0, 0)})
 	if v != (SV{2, 0, 0, 0, 0, 0, 0, 0}) {
 		t.Errorf("SVOf = %v", v)
+	}
+}
+
+func TestSVStringMatchesFmt(t *testing.T) {
+	for _, v := range []SV{{}, {1, 2, 3, 4, 5, 6, 7, 8}, {-3, 0, 12, 0, 1 << 40, 0, -1, 99}} {
+		parts := make([]string, NumDirs)
+		for i, n := range v {
+			parts[i] = fmt.Sprint(n)
+		}
+		want := "{" + strings.Join(parts, ",") + "}"
+		if got := v.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if got := string(v.AppendTo([]byte("x"))); got != "x"+want {
+			t.Errorf("AppendTo = %q, want %q", got, "x"+want)
+		}
 	}
 }

@@ -7,6 +7,7 @@
 package topo
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -235,15 +236,19 @@ func shiftTree(t geom.Tree, pins []geom.Point, d int) (geom.Tree, bool) {
 // interiors.
 func splitSegsAt(segs []geom.Seg, pts []geom.Point) []geom.Seg {
 	var out []geom.Seg
+	var cuts []geom.Point
 	for _, s := range segs {
 		n := s.Norm()
-		cuts := []geom.Point{n.A, n.B}
+		cuts = append(cuts[:0], n.A, n.B)
 		for _, p := range pts {
 			if n.Contains(p) && p != n.A && p != n.B {
 				cuts = append(cuts, p)
 			}
 		}
-		sort.Slice(cuts, func(i, j int) bool { return cuts[i].Less(cuts[j]) })
+		// Equal cuts are equal points, so the sort's tie order cannot show.
+		slices.SortFunc(cuts, func(p, q geom.Point) int {
+			return cmp.Or(cmp.Compare(p.X, q.X), cmp.Compare(p.Y, q.Y))
+		})
 		for i := 0; i+1 < len(cuts); i++ {
 			if cuts[i] != cuts[i+1] {
 				out = append(out, geom.Seg{A: cuts[i], B: cuts[i+1]})
@@ -315,71 +320,105 @@ type EdgeKey struct {
 	Idx int
 }
 
-// Expand3D turns 2-D object topologies into 3-D candidates on the grid,
-// enumerating (H layer, V layer) pairs in increasing via-distance order.
-// Candidates whose segments leave the grid are dropped. Results are sorted
-// by Cost.
+// Expand3D turns 2-D object topologies into at most maxN 3-D candidates on
+// the grid, enumerating (H layer, V layer) pairs in increasing via-distance
+// order. Candidates whose segments leave the grid are dropped. Results are
+// sorted by Cost; expanded is the number of candidates priced before the
+// diversity trim (see trimDiverse) cut them to maxN.
 //
-// The per-candidate work is layer-independent up to the layer assignment:
-// the 2-D edge footprint, wirelength and bend count of a topology are
-// computed once (into pooled scratch, via the geom arena kernels) and every
-// (H, V) pair then materializes its candidate as two flat edge-run copies —
-// no per-pair tree walks, no per-edge map inserts.
-func Expand3D(gr *grid.Grid, topos []ObjectTopology, opt Options) []Candidate {
+// A candidate's cost needs only its topology's wirelength and bend count
+// and its layer distance, so every (topology, layer pair) is priced and
+// trimmed before any is assembled: the 2-D edge footprint of each topology
+// is computed once (into pooled scratch, via the geom arena kernels), and
+// only the survivors of the trim materialize their Edges, Masks and Heavy
+// lists from it — flat run copies with the layer filled in.
+func Expand3D(gr *grid.Grid, topos []ObjectTopology, opt Options, maxN int) (cands []Candidate, expanded int) {
 	opt = opt.withDefaults()
 	pairs := layerPairs(gr, opt.MaxLayerPairs)
 	sc := expandPool.Get().(*expandScratch)
+	sc.fps, sc.uses, sc.masks, sc.priced = sc.fps[:0], sc.uses[:0], sc.masks[:0], sc.priced[:0]
 	ar := geom.GetArena()
-	var out []Candidate
 	for ti := range topos {
-		ot := &topos[ti]
-		if !sc.precompute2D(gr, ot, ar) {
+		if !sc.precompute2D(gr, &topos[ti], ar) {
 			continue
 		}
+		fp := &sc.fps[len(sc.fps)-1]
 		for _, pr := range pairs {
-			hl, vl := pr[0], pr[1]
-			layerDist := iabs(hl - vl)
+			layerDist := iabs(pr[0] - pr[1])
 			if layerDist == 0 {
 				layerDist = 1
 			}
-			c := Candidate{
-				Topo:    *ot,
-				TopoIdx: ti,
-				HLayer:  hl,
-				VLayer:  vl,
-				WL:      sc.wl,
-				Vias:    sc.bends * layerDist,
-			}
-			c.Cost = c.WL + opt.ViaWeight*c.Vias
-			sc.assemble(&c)
-			out = append(out, c)
+			vias := fp.bends * layerDist
+			sc.priced = append(sc.priced, pricedCand{
+				fp: int32(len(sc.fps) - 1), topo: int32(ti),
+				hl: int32(pr[0]), vl: int32(pr[1]),
+				vias: vias, cost: fp.wl + opt.ViaWeight*vias,
+			})
 		}
 	}
 	geom.PutArena(ar)
+	expanded = len(sc.priced)
+	keep := sc.trimDiverse(maxN, len(topos))
+	if len(keep) > 0 {
+		cands = make([]Candidate, len(keep))
+		for k, pc := range keep {
+			cands[k] = sc.assemble(topos, pc)
+		}
+	}
 	expandPool.Put(sc)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
-	return out
+	return cands, expanded
+}
+
+// pricedCand is a candidate before assembly: its topology, layer pair and
+// cost, plus the index of its topology's footprint in the scratch.
+type pricedCand struct {
+	fp, topo   int32
+	hl, vl     int32
+	rr         int32 // round-robin rank, set by trimDiverse
+	vias, cost int
+}
+
+// footprint is the layer-independent part of one topology's candidates:
+// wirelength, bend count, and the offsets of its per-direction edge runs
+// (sorted by 2-D index, Layer left 0) and word masks in the scratch.
+type footprint struct {
+	wl, bends      int
+	hEdges, vEdges [2]int32 // [lo, hi) into expandScratch.uses
+	hMasks, vMasks [2]int32 // [lo, hi) into expandScratch.masks
+	heavy          int
 }
 
 // expandScratch is the reusable state behind Expand3D: dense per-direction
-// 2-D edge counters (zeroed via the touched lists after every topology) and
-// the layer-independent footprint of the topology under expansion.
+// 2-D edge counters (zeroed as each topology's footprint is read out), the
+// footprints of the topologies under expansion and their priced
+// candidates.
 type expandScratch struct {
-	hCount, vCount     []int32
-	hTouched, vTouched []int32
-	hUse, vUse         []EdgeUse // Layer left 0; filled per pair by assemble
-	masks              []WordMask
-	heavy              int
-	wl, bends          int
+	hCount, vCount []int32
+	// hRuns holds a topology's horizontal segments as packed
+	// start<<32 | end edge-index ranges; vTouched its distinct vertical
+	// edges.
+	hRuns    []uint64
+	vTouched []int32
+	fps      []footprint
+	uses     []EdgeUse
+	masks    []WordMask
+	priced   []pricedCand
+	kept     []pricedCand
+	topoTab  []int32
 }
 
 var expandPool = sync.Pool{New: func() any { return new(expandScratch) }}
 
-// precompute2D accumulates the layer-independent footprint of ot: per-
-// direction sorted edge runs (2-D dense indices — identical on every layer
-// of the direction), total wirelength and bend count. It reports false,
-// leaving the scratch clean, when any segment leaves the grid — which
-// disqualifies the topology for every layer pair.
+// precompute2D appends the footprint of ot to sc.fps: per-direction sorted
+// edge runs (2-D dense indices — identical on every layer of the
+// direction) with their word masks, total wirelength and bend count. It
+// reports false, leaving the scratch clean, when any segment leaves the
+// grid — which disqualifies the topology for every layer pair.
+//
+// A horizontal segment covers consecutive edge indices, so the horizontal
+// edges come out in order by walking the segments sorted by first index,
+// each edge read once and zeroed; only the vertical edges (stride W) are
+// sorted one by one.
 func (sc *expandScratch) precompute2D(gr *grid.Grid, ot *ObjectTopology, ar *geom.Arena) bool {
 	hEdges, vEdges := (gr.W-1)*gr.H, gr.W*(gr.H-1)
 	if len(sc.hCount) < hEdges {
@@ -388,8 +427,8 @@ func (sc *expandScratch) precompute2D(gr *grid.Grid, ot *ObjectTopology, ar *geo
 	if len(sc.vCount) < vEdges {
 		sc.vCount = make([]int32, vEdges)
 	}
-	sc.hTouched, sc.vTouched = sc.hTouched[:0], sc.vTouched[:0]
-	sc.wl, sc.bends, sc.heavy = 0, 0, 0
+	sc.hRuns, sc.vTouched = sc.hRuns[:0], sc.vTouched[:0]
+	var fp footprint
 	ok := true
 	for _, t := range ot.BitTrees {
 		if !ok {
@@ -404,14 +443,11 @@ func (sc *expandScratch) precompute2D(gr *grid.Grid, ot *ObjectTopology, ar *geo
 					ok = false
 					break
 				}
-				base := s.A.Y * (gr.W - 1)
-				for x := s.A.X; x < s.B.X; x++ {
-					idx := int32(base + x)
-					if sc.hCount[idx] == 0 {
-						sc.hTouched = append(sc.hTouched, idx)
-					}
+				lo, hi := s.A.Y*(gr.W-1)+s.A.X, s.A.Y*(gr.W-1)+s.B.X
+				for idx := lo; idx < hi; idx++ {
 					sc.hCount[idx]++
 				}
+				sc.hRuns = append(sc.hRuns, uint64(lo)<<32|uint64(hi))
 			} else {
 				if s.A.Y < 0 || s.B.Y > gr.H-1 || s.A.X < 0 || s.A.X > gr.W-1 {
 					ok = false
@@ -425,78 +461,140 @@ func (sc *expandScratch) precompute2D(gr *grid.Grid, ot *ObjectTopology, ar *geo
 					sc.vCount[idx]++
 				}
 			}
-			sc.wl += s.Len()
+			fp.wl += s.Len()
 		}
-		sc.bends += ar.Bends(t.Segs)
+		fp.bends += ar.Bends(t.Segs)
 	}
 	if !ok {
-		for _, idx := range sc.hTouched {
-			sc.hCount[idx] = 0
+		for _, r := range sc.hRuns {
+			clear(sc.hCount[r>>32 : uint32(r)])
 		}
 		for _, idx := range sc.vTouched {
 			sc.vCount[idx] = 0
 		}
 		return false
 	}
-	slices.Sort(sc.hTouched)
-	slices.Sort(sc.vTouched)
-	sc.hUse, sc.vUse = sc.hUse[:0], sc.vUse[:0]
-	for _, idx := range sc.hTouched {
-		n := sc.hCount[idx]
-		sc.hUse = append(sc.hUse, EdgeUse{Idx: idx, N: n})
-		sc.hCount[idx] = 0
-		if n >= 2 {
-			sc.heavy++
+	slices.Sort(sc.hRuns)
+	fp.hEdges[0], fp.hMasks[0] = int32(len(sc.uses)), int32(len(sc.masks))
+	for _, r := range sc.hRuns {
+		for idx := int32(r >> 32); idx < int32(uint32(r)); idx++ {
+			if n := sc.hCount[idx]; n > 0 { // zero: read out by an earlier run
+				sc.hCount[idx] = 0
+				sc.appendUse(idx, n, fp.hMasks[0], &fp.heavy)
+			}
 		}
 	}
+	fp.hEdges[1], fp.hMasks[1] = int32(len(sc.uses)), int32(len(sc.masks))
+	slices.Sort(sc.vTouched)
+	fp.vEdges[0], fp.vMasks[0] = fp.hEdges[1], fp.hMasks[1]
 	for _, idx := range sc.vTouched {
 		n := sc.vCount[idx]
-		sc.vUse = append(sc.vUse, EdgeUse{Idx: idx, N: n})
 		sc.vCount[idx] = 0
-		if n >= 2 {
-			sc.heavy++
-		}
+		sc.appendUse(idx, n, fp.vMasks[0], &fp.heavy)
 	}
+	fp.vEdges[1], fp.vMasks[1] = int32(len(sc.uses)), int32(len(sc.masks))
+	sc.fps = append(sc.fps, fp)
 	return true
 }
 
-// assemble materializes the precomputed footprint onto the candidate's
-// layer pair: Edges sorted by (Layer, Idx), word masks, heavy list.
-func (sc *expandScratch) assemble(c *Candidate) {
-	hl, vl := int32(c.HLayer), int32(c.VLayer)
-	c.Edges = make([]EdgeUse, 0, len(sc.hUse)+len(sc.vUse))
-	appendRun := func(l int32, use []EdgeUse) {
-		for _, e := range use {
-			c.Edges = append(c.Edges, EdgeUse{Layer: l, Idx: e.Idx, N: e.N})
-		}
+// appendUse appends the use of edge idx (n tracks) to sc.uses and sets its
+// bit in the word masks, sc.masks[maskLo:] being the current direction's;
+// an edge needing two or more tracks also counts toward *heavy. Edges must
+// arrive in increasing index order.
+func (sc *expandScratch) appendUse(idx, n, maskLo int32, heavy *int) {
+	sc.uses = append(sc.uses, EdgeUse{Idx: idx, N: n})
+	if n >= 2 {
+		*heavy++
 	}
-	if hl < vl {
-		appendRun(hl, sc.hUse)
-		appendRun(vl, sc.vUse)
+	w := idx >> 6
+	if m := len(sc.masks); m > int(maskLo) && sc.masks[m-1].Word == w {
+		sc.masks[m-1].Bits |= 1 << (idx & 63)
 	} else {
-		appendRun(vl, sc.vUse)
-		appendRun(hl, sc.hUse)
+		sc.masks = append(sc.masks, WordMask{Word: w, Bits: 1 << (idx & 63)})
 	}
-	masks := sc.masks[:0]
-	for _, e := range c.Edges {
-		w := e.Idx >> 6
-		if n := len(masks); n > 0 && masks[n-1].Layer == e.Layer && masks[n-1].Word == w {
-			masks[n-1].Bits |= 1 << (e.Idx & 63)
-		} else {
-			masks = append(masks, WordMask{Layer: e.Layer, Word: w, Bits: 1 << (e.Idx & 63)})
+}
+
+// trimDiverse sorts the priced candidates by cost (stable, so ties keep
+// enumeration order) and caps them at maxN while keeping topology
+// diversity: candidates are taken round-robin across 2-D topologies in
+// cost order, so a cheap topology's layer variants cannot crowd out the
+// detour topologies the solver needs under congestion. The kept candidates
+// come back re-sorted by cost (stable). numTopos bounds the topology
+// indices.
+func (sc *expandScratch) trimDiverse(maxN, numTopos int) []pricedCand {
+	byCost := func(a, b pricedCand) int { return cmp.Compare(a.cost, b.cost) }
+	slices.SortStableFunc(sc.priced, byCost)
+	if len(sc.priced) <= maxN {
+		return sc.priced
+	}
+	// Round r takes the r-th cheapest candidate of every topology, the
+	// topologies ordered by their cheapest candidate: key each candidate by
+	// (r, its topology's position) and keep the maxN smallest keys in key
+	// order.
+	tab := slices.Grow(sc.topoTab[:0], 2*numTopos)[:2*numTopos]
+	clear(tab)
+	seen, pos := tab[:numTopos], tab[numTopos:]
+	next := int32(0)
+	for i := range sc.priced {
+		pc := &sc.priced[i]
+		if seen[pc.topo] == 0 {
+			pos[pc.topo] = next
+			next++
+		}
+		pc.rr = seen[pc.topo]*int32(numTopos) + pos[pc.topo]
+		seen[pc.topo]++
+	}
+	sc.topoTab = tab
+	out := append(sc.kept[:0], sc.priced...)
+	sc.kept = out
+	slices.SortFunc(out, func(a, b pricedCand) int { return cmp.Compare(a.rr, b.rr) })
+	out = out[:max(maxN, 0)]
+	slices.SortStableFunc(out, byCost)
+	return out
+}
+
+// assemble materializes a priced candidate from its topology's footprint
+// onto its layer pair: Edges sorted by (Layer, Idx), word masks, heavy list.
+func (sc *expandScratch) assemble(topos []ObjectTopology, pc pricedCand) Candidate {
+	fp := &sc.fps[pc.fp]
+	c := Candidate{
+		Topo:    topos[pc.topo],
+		TopoIdx: int(pc.topo),
+		HLayer:  int(pc.hl),
+		VLayer:  int(pc.vl),
+		WL:      fp.wl,
+		Vias:    pc.vias,
+		Cost:    pc.cost,
+	}
+	// Both runs of a layer pair sit on different layers, so Edges is the
+	// lower layer's run then the higher one's, and no word mask spans them.
+	type run struct {
+		layer        int32
+		edges, masks [2]int32
+	}
+	first, second := run{pc.hl, fp.hEdges, fp.hMasks}, run{pc.vl, fp.vEdges, fp.vMasks}
+	if pc.vl < pc.hl {
+		first, second = second, first
+	}
+	c.Edges = make([]EdgeUse, 0, (first.edges[1]-first.edges[0])+(second.edges[1]-second.edges[0]))
+	c.Masks = make([]WordMask, 0, (first.masks[1]-first.masks[0])+(second.masks[1]-second.masks[0]))
+	for _, r := range [2]run{first, second} {
+		for _, e := range sc.uses[r.edges[0]:r.edges[1]] {
+			c.Edges = append(c.Edges, EdgeUse{Layer: r.layer, Idx: e.Idx, N: e.N})
+		}
+		for _, m := range sc.masks[r.masks[0]:r.masks[1]] {
+			c.Masks = append(c.Masks, WordMask{Layer: r.layer, Word: m.Word, Bits: m.Bits})
 		}
 	}
-	sc.masks = masks
-	c.Masks = make([]WordMask, len(masks))
-	copy(c.Masks, masks)
-	if sc.heavy > 0 {
-		c.Heavy = make([]EdgeUse, 0, sc.heavy)
+	if fp.heavy > 0 {
+		c.Heavy = make([]EdgeUse, 0, fp.heavy)
 		for _, e := range c.Edges {
 			if e.N >= 2 {
 				c.Heavy = append(c.Heavy, e)
 			}
 		}
 	}
+	return c
 }
 
 // layerPairs lists (hLayer, vLayer) combinations sorted by layer distance
