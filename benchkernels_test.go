@@ -2,7 +2,7 @@ package streak
 
 // Micro-benchmarks for the hot-kernel data-layout work: the bitset capacity
 // intersection against the legacy per-edge walk, the SoA tree build/expand
-// path, and warm- vs cold-started B&B simplex. All report allocations —
+// path, and the B&B node cost of the simplex. All report allocations —
 // the pooled-scratch design targets allocs/op as hard as ns/op, and
 // benchreport gates on both (see -alloc-threshold).
 
@@ -123,9 +123,10 @@ func bbNodeModel(seed int64) *ilp.Model {
 	return m
 }
 
-// BenchmarkBBNode measures branch-and-bound node cost warm versus cold:
-// the same model set solved with parent-basis warm starts enabled and
-// disabled, reporting ns per explored node alongside the standard metrics.
+// BenchmarkBBNode measures branch-and-bound node cost on small float-cost
+// selection models, reporting ns per explored node alongside the standard
+// metrics. Every node's relaxation solves from the all-slack basis; the
+// single arm keeps its "cold" name so earlier reports still compare.
 func BenchmarkBBNode(b *testing.B) {
 	var models []*ilp.Model
 	for seed := int64(40); len(models) < 8 && seed < 140; seed++ {
@@ -137,23 +138,18 @@ func BenchmarkBBNode(b *testing.B) {
 	if len(models) < 8 {
 		b.Fatal("not enough feasible models")
 	}
-	for _, cfg := range []struct {
-		name    string
-		disable bool
-	}{{"warm", false}, {"cold", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			nodes := 0
-			for n := 0; n < b.N; n++ {
-				for _, m := range models {
-					r := ilp.Solve(m, ilp.SolveOptions{DisableWarmLP: cfg.disable})
-					if r.Status != ilp.Optimal {
-						b.Fatalf("status %v", r.Status)
-					}
-					nodes += r.Nodes
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		nodes := 0
+		for n := 0; n < b.N; n++ {
+			for _, m := range models {
+				r := ilp.Solve(m, ilp.SolveOptions{})
+				if r.Status != ilp.Optimal {
+					b.Fatalf("status %v", r.Status)
 				}
+				nodes += r.Nodes
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
-		})
-	}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+	})
 }

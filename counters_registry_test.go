@@ -44,8 +44,12 @@ func TestSolveCountersRegistered(t *testing.T) {
 			obs.CounterClusterIterations, obs.CounterClusterPairEvals,
 			obs.CounterClusterRatioEvals, obs.CounterClusterTreeFits,
 		}
-		if method == PrimalDual {
+		switch method {
+		case PrimalDual:
 			names = append(names, obs.CounterPDPriceEvals)
+		case ILP:
+			names = append(names, obs.CounterILPSimplexPivots,
+				obs.CounterILPSimplexPivotNNZ, obs.CounterILPSimplexRootIters)
 		}
 		for _, name := range names {
 			if _, ok := counters[name]; !ok {

@@ -24,7 +24,9 @@ type Options struct {
 	// no limit.
 	TimeLimit time.Duration
 	// WarmStart, when non-nil, primes branch and bound with a known
-	// feasible assignment (typically the primal-dual solution).
+	// feasible assignment (typically the primal-dual solution). One that
+	// does not cover exactly p.Cands, or names a candidate an object does
+	// not have, is ignored.
 	WarmStart *route.Assignment
 	// MaxVars aborts model construction when the linearized model would
 	// exceed this many variables — a guard against building LPs the dense
@@ -219,7 +221,7 @@ func solveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error
 	}
 
 	solveOpt := ilp.SolveOptions{Ctx: ctx, TimeLimit: opt.TimeLimit}
-	if opt.WarmStart != nil {
+	if opt.WarmStart != nil && validChoice(p, opt.WarmStart.Choice) {
 		inc := make([]float64, nVars)
 		for i, c := range opt.WarmStart.Choice {
 			if c >= 0 {
@@ -268,6 +270,20 @@ func solveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error
 	default:
 		return out, fmt.Errorf("exact: ILP reported %v", res.Status)
 	}
+}
+
+// validChoice reports whether choice picks, for every object of p, either
+// nothing (a negative index) or one of its candidates.
+func validChoice(p *route.Problem, choice []int) bool {
+	if len(choice) != len(p.Cands) {
+		return false
+	}
+	for i, c := range choice {
+		if c >= len(p.Cands[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // timedOutResult is the all-unrouted result reported when the deadline

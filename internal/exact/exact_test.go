@@ -171,3 +171,33 @@ func TestWarmStartSpeedsOrEqualsCold(t *testing.T) {
 		t.Fatalf("warm %v != cold %v", warm.Objective, cold.Objective)
 	}
 }
+
+// TestMismatchedWarmStartIgnored pins that a warm start which does not
+// belong to the problem — the wrong object count, or a candidate index an
+// object does not have — is ignored rather than crashing the model build,
+// and the solve still proves the same optimum as a cold one.
+func TestMismatchedWarmStartIgnored(t *testing.T) {
+	p, err := route.Build(tinyDesign(), route.Options{MaxCandidates: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Solve(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outOfRange := p.NewAssignment()
+	outOfRange.Choice[0] = len(p.Cands[0])
+	for name, ws := range map[string]route.Assignment{
+		"short":        {Choice: make([]int, len(p.Cands)-1)},
+		"long":         {Choice: make([]int, len(p.Cands)+1)},
+		"out-of-range": outOfRange,
+	} {
+		res, err := Solve(p, Options{WarmStart: &ws})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Status != cold.Status || res.Objective != cold.Objective {
+			t.Errorf("%s: status %v objective %v, cold %v %v", name, res.Status, res.Objective, cold.Status, cold.Objective)
+		}
+	}
+}

@@ -250,11 +250,18 @@ func TestSolveRespectsIncumbent(t *testing.T) {
 	if res.Status != Optimal || math.Abs(res.Obj-3) > 1e-9 {
 		t.Fatalf("res = %+v", res)
 	}
-	// An infeasible incumbent is ignored, not trusted.
-	bad := []float64{0, 0}
-	res = Solve(m, SolveOptions{Incumbent: bad})
-	if res.Status != Optimal || math.Abs(res.Obj-3) > 1e-9 {
-		t.Fatalf("res with bad incumbent = %+v", res)
+	// An infeasible incumbent is ignored, not trusted, and so is one of the
+	// wrong length: a short one cannot be evaluated, and a long one would
+	// come back as a solution longer than the model.
+	for name, bad := range map[string][]float64{
+		"infeasible": {0, 0},
+		"short":      {1},
+		"long":       {1, 0, 1},
+	} {
+		res = Solve(m, SolveOptions{Incumbent: bad})
+		if res.Status != Optimal || math.Abs(res.Obj-3) > 1e-9 || len(res.X) != m.NumVars() {
+			t.Fatalf("res with %s incumbent = %+v", name, res)
+		}
 	}
 }
 
@@ -335,6 +342,9 @@ func TestFeasibleAndEval(t *testing.T) {
 	}
 	if m.Feasible([]float64{-0.1, 0}, 1e-9) {
 		t.Error("below-bound point accepted")
+	}
+	if m.Feasible([]float64{0}, 1e-9) || m.Feasible([]float64{0, 0, 0}, 1e-9) {
+		t.Error("wrong-length point accepted")
 	}
 	if got := m.Eval([]float64{1, 1}); got != 1 {
 		t.Errorf("Eval = %v", got)

@@ -136,9 +136,12 @@ func (m *Model) Eval(x []float64) float64 {
 	return v
 }
 
-// Feasible reports whether x satisfies every constraint (lazy included)
-// and bound within tolerance tol.
+// Feasible reports whether x assigns every variable and satisfies every
+// constraint (lazy included) and bound within tolerance tol.
 func (m *Model) Feasible(x []float64, tol float64) bool {
+	if len(x) != len(m.obj) {
+		return false
+	}
 	for i := range x {
 		if x[i] < -tol || x[i] > 1+tol {
 			return false

@@ -3,15 +3,13 @@ package ilp
 import (
 	"context"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/faultinject"
 )
-
-// uniqueTol bounds how close a nonbasic reduced cost may sit to zero before
-// the warm path treats the LP optimum as non-unique and defers to cold.
-const uniqueTol = 1e-6
 
 // lpStatus reports the outcome of an LP relaxation solve.
 type lpStatus int
@@ -28,12 +26,16 @@ type lpResult struct {
 	x      []float64 // structural variable values
 	obj    float64
 	iters  int // simplex iterations spent (pivots + bound flips)
+	// pivots counts basis changes (iters minus bound flips); pivotNNZ sums
+	// the pivot rows' nonzero counts, the work the row update scales with.
+	pivots, pivotNNZ int
 }
 
-// lpState is one simplex tableau with its basis bookkeeping. Cold solves
-// build it from the all-slack basis; warm solves rebuild it from a parent
-// node's final basis. All storage comes from an lpScratch freelist so
-// steady-state branch-and-bound allocates (almost) nothing per node.
+// lpState is the simplex workspace: one dense tableau with its basis
+// bookkeeping, the pivot row's nonzero columns and the eligible-column
+// bitset. Branch and bound solves one relaxation at a time, so a Solve call
+// reuses a single pooled state for all of them; every buffer keeps its
+// capacity, and steady-state solving allocates (almost) nothing per node.
 type lpState struct {
 	n, rows, ncols int
 	t              [][]float64
@@ -43,6 +45,32 @@ type lpState struct {
 	inBasis        []bool
 	colLo, colHi   []float64
 	cost, objRow   []float64
+	// nz lists, ascending, the nonzero columns of the last pivot row.
+	nz []int
+	// sorted is ascending's buffer for a row whose terms are out of order.
+	sorted []Term
+	// elig has bit j set while column j may enter the basis: nonbasic, not
+	// fixed, and with a reduced cost past tol in its descent direction.
+	elig []uint64
+	// fresh is true until the state's first use; it lets Solve report
+	// pooled-vs-fresh acquisitions.
+	fresh bool
+}
+
+var lpStatePool = sync.Pool{New: func() any { return &lpState{fresh: true} }}
+
+func getState() *lpState { return lpStatePool.Get().(*lpState) }
+
+func putState(st *lpState) { lpStatePool.Put(st) }
+
+// zeroed returns s resized to n zero elements, reusing its capacity.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (st *lpState) nbVal(j int) float64 {
@@ -52,177 +80,30 @@ func (st *lpState) nbVal(j int) float64 {
 	return st.colLo[j]
 }
 
-// lpScratch recycles tableau rows and bookkeeping vectors across the many
-// LP solves of one branch-and-bound run. Scratches themselves are pooled
-// across runs (with pooled-vs-fresh counters for telemetry), so a serving
-// process reaches near-zero steady-state allocation in the solver.
-type lpScratch struct {
-	vecs   [][]float64
-	ints   [][]int
-	bools  [][]bool
-	states []*lpState
-	fresh  bool // true until first reuse; lets callers report pooled-vs-fresh
-}
-
-var lpScratchPool = sync.Pool{New: func() any { return &lpScratch{fresh: true} }}
-
-func getScratch() *lpScratch { return lpScratchPool.Get().(*lpScratch) }
-
-func putScratch(s *lpScratch) { lpScratchPool.Put(s) }
-
-func (s *lpScratch) vec(size int) []float64 {
-	for len(s.vecs) > 0 {
-		v := s.vecs[len(s.vecs)-1]
-		s.vecs = s.vecs[:len(s.vecs)-1]
-		if cap(v) >= size {
-			v = v[:size]
-			for i := range v {
-				v[i] = 0
-			}
-			return v
-		}
-	}
-	return make([]float64, size)
-}
-
-func (s *lpScratch) ivec(size int) []int {
-	for len(s.ints) > 0 {
-		v := s.ints[len(s.ints)-1]
-		s.ints = s.ints[:len(s.ints)-1]
-		if cap(v) >= size {
-			v = v[:size]
-			for i := range v {
-				v[i] = 0
-			}
-			return v
-		}
-	}
-	return make([]int, size)
-}
-
-func (s *lpScratch) bvec(size int) []bool {
-	for len(s.bools) > 0 {
-		v := s.bools[len(s.bools)-1]
-		s.bools = s.bools[:len(s.bools)-1]
-		if cap(v) >= size {
-			v = v[:size]
-			for i := range v {
-				v[i] = false
-			}
-			return v
-		}
-	}
-	return make([]bool, size)
-}
-
-// newState hands out a state shell with rows/vectors sized for the solve.
-func (s *lpScratch) newState(n, rows, ncols int) *lpState {
-	var st *lpState
-	if k := len(s.states); k > 0 {
-		st = s.states[k-1]
-		s.states = s.states[:k-1]
-	} else {
-		st = new(lpState)
-	}
-	st.n, st.rows, st.ncols = n, rows, ncols
-	if cap(st.t) >= rows {
-		st.t = st.t[:rows]
-	} else {
-		st.t = make([][]float64, rows)
-	}
-	for i := range st.t {
-		st.t[i] = s.vec(ncols)
-	}
-	st.basis = s.ivec(rows)
-	st.xB = s.vec(rows)
-	st.atUpper = s.bvec(ncols)
-	st.inBasis = s.bvec(ncols)
-	st.colLo = s.vec(ncols)
-	st.colHi = s.vec(ncols)
-	st.cost = s.vec(ncols)
-	st.objRow = s.vec(ncols)
-	return st
-}
-
-// free returns every slice of st to the freelists.
-func (s *lpScratch) free(st *lpState) {
-	if st == nil {
-		return
-	}
-	for i := range st.t {
-		if st.t[i] != nil {
-			s.vecs = append(s.vecs, st.t[i])
-			st.t[i] = nil
-		}
-	}
-	st.t = st.t[:0]
-	s.ints = append(s.ints, st.basis)
-	s.vecs = append(s.vecs, st.xB, st.colLo, st.colHi, st.cost, st.objRow)
-	s.bools = append(s.bools, st.atUpper, st.inBasis)
-	st.basis, st.xB, st.colLo, st.colHi, st.cost, st.objRow = nil, nil, nil, nil, nil, nil
-	st.atUpper, st.inBasis = nil, nil
-	s.states = append(s.states, st)
-}
-
-// solveLP minimizes the model objective over the LP relaxation with the
-// given per-variable bounds, using a bounded-variable primal simplex on a
-// dense tableau. Rows that start infeasible (possible once branching fixes
-// lower bounds to 1) get Big-M artificial variables. A non-zero deadline or
-// a done context aborts long solves with lpIterLimit so the branch-and-bound
-// time limit and cancellation hold even when a single relaxation is
-// expensive.
-func (m *Model) solveLP(ctx context.Context, cons []constraint, lo, hi []float64, deadline time.Time) lpResult {
-	scr := getScratch()
-	res, st := m.solveLPCold(ctx, cons, lo, hi, deadline, scr)
-	scr.free(st)
-	putScratch(scr)
-	return res
-}
-
-// solveLPCold is solveLP building the tableau from the all-slack basis; it
-// returns the final state alongside the result so branch-and-bound can
-// detach it as a warm-start snapshot for child nodes. The caller owns the
-// returned state and must scr.free it (or detach it) eventually.
-func (m *Model) solveLPCold(ctx context.Context, cons []constraint, lo, hi []float64, deadline time.Time, scr *lpScratch) (lpResult, *lpState) {
+// solve minimizes the model objective over the LP relaxation with the given
+// per-variable bounds, using a bounded-variable primal simplex on a dense
+// tableau built from the all-slack basis. Rows that start infeasible
+// (possible once branching fixes lower bounds to 1) get Big-M artificial
+// variables. A non-zero deadline or a done context aborts long solves with
+// lpIterLimit so the branch-and-bound time limit and cancellation hold even
+// when a single relaxation is expensive.
+func (st *lpState) solve(ctx context.Context, m *Model, cons []constraint, lo, hi []float64, deadline time.Time) lpResult {
 	// Fault seam: an injected error reports this relaxation infeasible (the
 	// node is pruned; at the root the whole solve turns infeasible), a delay
 	// stretches the relaxation past the branch-and-bound deadline.
 	if err := faultinject.Fire(ctx, faultinject.Simplex); err != nil {
-		return lpResult{status: lpInfeasible}, nil
+		return lpResult{status: lpInfeasible}
 	}
 	n := len(m.obj)
 	rows := len(cons)
 	if n == 0 {
-		return lpResult{status: lpOptimal, x: nil, obj: 0}, nil
+		return lpResult{status: lpOptimal, x: nil, obj: 0}
 	}
-
-	// Column layout: [0,n) structural, [n,n+rows) slack, then artificials.
-	// Bounds per column; artificials and slacks are [0, +inf).
-	ncols := n + rows
-	st := scr.newState(n, rows, ncols)
-	colLo := st.colLo
-	colHi := st.colHi
-	copy(colLo, lo)
-	copy(colHi, hi)
-	for j := n; j < ncols; j++ {
-		colHi[j] = inf
-	}
-
-	// Big-M cost for artificials, scaled to dominate any structural cost.
-	bigM := 1.0
-	for _, c := range m.obj {
-		bigM += math.Abs(c)
-	}
-	bigM *= 1e4
-
-	cost := st.cost
-	copy(cost, m.obj)
-
-	// Dense tableau rows plus initial basic values.
-	t := st.t
-	basis := st.basis
-	xB := st.xB
-	atUpper := st.atUpper
+	// Column layout: [0,n) structural, [n,n+rows) slack, then one
+	// artificial per row that starts infeasible. Bounds per column;
+	// artificials and slacks are [0, +inf). At most every row gets an
+	// artificial, which bounds the column count.
+	atUpper := zeroed(st.atUpper, n+2*rows)
 	for j := 0; j < n; j++ {
 		// Start nonbasic structurals at the bound nearer the objective
 		// descent direction to reduce iterations.
@@ -233,153 +114,159 @@ func (m *Model) solveLPCold(ctx context.Context, cons []constraint, lo, hi []flo
 			atUpper[j] = false
 		}
 	}
-	nbVal := func(j int) float64 {
-		if atUpper[j] {
-			return colHi[j]
-		}
-		return colLo[j]
-	}
 
+	// Initial basic values: a row whose slack would start negative is
+	// negated and gets an artificial. The activity sums the row's terms in
+	// ascending column order, as a dot product over the dense row would.
+	basis := zeroed(st.basis, rows)
+	xB := zeroed(st.xB, rows)
+	arts := 0
 	for i, con := range cons {
-		row := t[i]
-		t[i] = nil // mark unfilled for the artificial-extension pass
-		for _, tm := range con.terms {
-			row[tm.Var] += tm.Coef
-		}
-		row[n+i] = 1
+		terms := st.ascending(con.terms)
 		act := 0.0
-		for j := 0; j < n; j++ {
-			act += row[j] * nbVal(j)
+		for _, tm := range terms {
+			if atUpper[tm.Var] {
+				act += tm.Coef * hi[tm.Var]
+			} else {
+				act += tm.Coef * lo[tm.Var]
+			}
 		}
 		slack := con.rhs - act
 		if slack >= 0 {
 			basis[i] = n + i
 			xB[i] = slack
-			t[i] = row
 			continue
 		}
-		// Infeasible start: negate the row and give it an artificial.
-		for j := range row {
-			row[j] = -row[j]
-		}
-		art := len(colLo)
-		colLo = append(colLo, 0)
-		colHi = append(colHi, inf)
-		cost = append(cost, bigM)
-		atUpper = append(atUpper, false)
-		for k := range t {
-			if t[k] != nil {
-				t[k] = append(t[k], 0)
-			}
-		}
-		for len(row) <= art {
-			row = append(row, 0)
-		}
-		row[art] = 1
-		basis[i] = art
+		basis[i] = -1 // artificial, numbered below
 		xB[i] = -slack
-		t[i] = row
+		arts++
 	}
-	// Rows created before a later artificial column appeared were extended
-	// in the loop; normalize lengths for safety.
-	ncols = len(colLo)
-	for i := range t {
-		for len(t[i]) < ncols {
-			t[i] = append(t[i], 0)
+
+	ncols := n + rows + arts
+	st.n, st.rows, st.ncols = n, rows, ncols
+	colLo := zeroed(st.colLo, ncols)
+	colHi := zeroed(st.colHi, ncols)
+	cost := zeroed(st.cost, ncols)
+	atUpper = atUpper[:ncols]
+	copy(colLo, lo)
+	copy(colHi, hi)
+	copy(cost, m.obj)
+	for j := n; j < ncols; j++ {
+		colHi[j] = inf
+	}
+	// Big-M cost for artificials, scaled to dominate any structural cost.
+	bigM := 1.0
+	for _, c := range m.obj {
+		bigM += math.Abs(c)
+	}
+	bigM *= 1e4
+	for j := n + rows; j < ncols; j++ {
+		cost[j] = bigM
+	}
+
+	// Dense tableau rows, and the objective row (reduced costs)
+	// d_j = c_j - c_B' T_j, maintained by pivoting alongside the tableau.
+	// Only artificial rows carry a basic cost.
+	if cap(st.t) < rows {
+		st.t = append(st.t[:cap(st.t)], make([][]float64, rows-cap(st.t))...)
+	}
+	st.t = st.t[:rows]
+	objRow := zeroed(st.objRow, ncols)
+	copy(objRow, cost)
+	inBasis := zeroed(st.inBasis, ncols)
+	art := n + rows
+	for i, con := range cons {
+		row := zeroed(st.t[i], ncols)
+		st.t[i] = row
+		sign := 1.0
+		if basis[i] < 0 {
+			sign = -1
+			basis[i] = art
+			row[art] = 1
+			art++
+		}
+		for _, tm := range con.terms {
+			row[tm.Var] = sign * tm.Coef
+		}
+		row[n+i] = sign
+		inBasis[basis[i]] = true
+		if sign < 0 {
+			for _, tm := range con.terms {
+				objRow[tm.Var] -= bigM * row[tm.Var]
+			}
+			objRow[n+i] -= bigM * row[n+i]
+			objRow[basis[i]] -= bigM * row[basis[i]]
 		}
 	}
-	st.ncols = ncols
+	st.basis, st.xB, st.inBasis, st.objRow = basis, xB, inBasis, objRow
 	st.colLo, st.colHi, st.cost, st.atUpper = colLo, colHi, cost, atUpper
 
-	inBasis := st.inBasis
-	for len(inBasis) < ncols {
-		inBasis = append(inBasis, false)
+	res := st.primal(ctx, deadline)
+	if res.status == lpOptimal {
+		x, obj, status := st.extract(m)
+		res.x, res.obj, res.status = x, obj, status
 	}
-	for _, b := range basis {
-		inBasis[b] = true
-	}
-	st.inBasis = inBasis
+	return res
+}
 
-	// Objective row (reduced costs): d_j = c_j - c_B' T_j, maintained by
-	// pivoting alongside the tableau.
-	objRow := st.objRow
-	for len(objRow) < ncols {
-		objRow = append(objRow, 0)
-	}
-	copy(objRow, cost)
-	for i, b := range basis {
-		cb := cost[b]
-		if cb == 0 {
-			continue
-		}
-		for j := 0; j < ncols; j++ {
-			objRow[j] -= cb * t[i][j]
+// ascending returns terms in ascending column order: terms itself when it
+// already is (the usual case), else a sorted copy in st.sorted.
+func (st *lpState) ascending(terms []Term) []Term {
+	for k := 1; k < len(terms); k++ {
+		if terms[k].Var < terms[k-1].Var {
+			st.sorted = append(st.sorted[:0], terms...)
+			slices.SortFunc(st.sorted, func(a, b Term) int { return a.Var - b.Var })
+			return st.sorted
 		}
 	}
-	st.objRow = objRow
-
-	status, iter := st.primal(ctx, deadline, 0)
-	if status != lpOptimal {
-		return lpResult{status: status, iters: iter}, st
-	}
-	return st.extract(m, iter), st
+	return terms
 }
 
 // primal runs the bounded-variable primal simplex loop on the state until
-// optimality, iteration limit, deadline, or cancellation. It returns the
-// terminal status (lpOptimal or lpIterLimit) and the iteration count,
-// starting from startIter (warm solves have already spent dual pivots).
-func (st *lpState) primal(ctx context.Context, deadline time.Time, startIter int) (lpStatus, int) {
-	n, rows, ncols := st.n, st.rows, st.ncols
+// optimality, iteration limit, deadline, or cancellation. The result
+// carries the terminal status (lpOptimal or lpIterLimit) and the work
+// counts, but no solution.
+func (st *lpState) primal(ctx context.Context, deadline time.Time) lpResult {
+	rows, ncols := st.rows, st.ncols
 	t, basis, xB := st.t, st.basis, st.xB
 	atUpper, inBasis := st.atUpper, st.inBasis
-	colLo, colHi, objRow := st.colLo, st.colHi, st.objRow
-	nbVal := st.nbVal
+	colLo, colHi := st.colLo, st.colHi
 
+	st.elig = zeroed(st.elig, (ncols+63)/64)
+	for j := 0; j < ncols; j++ {
+		st.retest(j)
+	}
+
+	var res lpResult
 	maxIter := 200 * (rows + ncols + 10)
 	blandAfter := 20 * (rows + ncols + 10)
-	iter := startIter
+	iter := 0
 	for ; ; iter++ {
+		res.iters = iter
 		if iter > maxIter {
-			return lpIterLimit, iter
+			res.status = lpIterLimit
+			return res
 		}
 		if iter%64 == 63 {
 			if !deadline.IsZero() && time.Now().After(deadline) {
-				return lpIterLimit, iter
+				res.status = lpIterLimit
+				return res
 			}
 			if ctx.Err() != nil {
-				return lpIterLimit, iter
+				res.status = lpIterLimit
+				return res
 			}
 		}
-		useBland := iter > blandAfter
 
 		// Entering variable: a nonbasic column whose reduced cost allows
 		// descent from its current bound.
-		enter, dir := -1, 0.0
-		bestViol := tol
-		for j := 0; j < ncols; j++ {
-			if inBasis[j] || colLo[j] == colHi[j] {
-				continue
-			}
-			var viol float64
-			var d float64
-			if !atUpper[j] && objRow[j] < -tol {
-				viol, d = -objRow[j], 1
-			} else if atUpper[j] && objRow[j] > tol {
-				viol, d = objRow[j], -1
-			} else {
-				continue
-			}
-			if useBland {
-				enter, dir = j, d
-				break
-			}
-			if viol > bestViol {
-				bestViol, enter, dir = viol, j, d
-			}
-		}
+		enter := st.price(iter > blandAfter)
 		if enter == -1 {
 			break // optimal
+		}
+		dir := 1.0
+		if atUpper[enter] {
+			dir = -1
 		}
 
 		// Ratio test: the entering variable moves by dir*tstep from its
@@ -419,21 +306,24 @@ func (st *lpState) primal(ctx context.Context, deadline time.Time, startIter int
 		if math.IsInf(tstep, 1) {
 			// Unbounded descent cannot happen with bounded structurals and
 			// slack-only rays; treat as numeric trouble.
-			return lpIterLimit, iter
+			res.status = lpIterLimit
+			return res
 		}
 
 		if leave == -1 {
-			// Bound flip: entering moves to its opposite bound.
+			// Bound flip: entering moves to its opposite bound. Only its
+			// own eligibility can change.
 			delta := dir * tstep
 			for i := 0; i < rows; i++ {
 				xB[i] -= t[i][enter] * delta
 			}
 			atUpper[enter] = !atUpper[enter]
+			st.retest(enter)
 			continue
 		}
 
 		// Pivot: entering becomes basic at value bound + dir*tstep.
-		newVal := nbVal(enter) + dir*tstep
+		newVal := st.nbVal(enter) + dir*tstep
 		delta := dir * tstep
 		for i := 0; i < rows; i++ {
 			if i != leave {
@@ -448,47 +338,112 @@ func (st *lpState) primal(ctx context.Context, deadline time.Time, startIter int
 		xB[leave] = newVal
 
 		st.pivot(leave, enter)
+		res.pivots++
+		res.pivotNNZ += len(st.nz)
+		// Reduced costs moved only on the pivot row's nonzero columns. The
+		// entering and leaving columns, whose basis status changed, are
+		// among them: a basic column is nonzero in its own row and zero in
+		// every other, and pivots on other rows leave it so.
+		for _, j := range st.nz {
+			st.retest(j)
+		}
 	}
-	_ = n
-	return lpOptimal, iter
+	res.status = lpOptimal
+	return res
+}
+
+// eligible reports whether column j may enter the basis.
+func (st *lpState) eligible(j int) bool {
+	if st.inBasis[j] || st.colLo[j] == st.colHi[j] {
+		return false
+	}
+	if st.atUpper[j] {
+		return st.objRow[j] > tol
+	}
+	return st.objRow[j] < -tol
+}
+
+// retest refreshes column j's bit in the eligible set.
+func (st *lpState) retest(j int) {
+	if st.eligible(j) {
+		st.elig[j>>6] |= 1 << (j & 63)
+	} else {
+		st.elig[j>>6] &^= 1 << (j & 63)
+	}
+}
+
+// price picks the entering column from the eligible set, or -1 at
+// optimality. The set is scanned in ascending column order, so Dantzig's
+// rule (largest violation, strict > keeps the lowest index on ties) and
+// Bland's rule (first eligible column) choose exactly what a scan of every
+// column would.
+func (st *lpState) price(bland bool) int {
+	enter, best := -1, tol
+	for w, word := range st.elig {
+		for word != 0 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if bland {
+				return j
+			}
+			viol := st.objRow[j]
+			if !st.atUpper[j] {
+				viol = -viol
+			}
+			if viol > best {
+				best, enter = viol, j
+			}
+		}
+	}
+	return enter
 }
 
 // pivot performs the tableau row reduction making column enter basic in row
-// leave, updating the reduced-cost row alongside.
+// leave, updating the reduced-cost row alongside. It scales the pivot row,
+// records its nonzero columns in st.nz, and updates every other row only
+// there: at a zero pivot-row entry the dense update x - f*0 could change
+// nothing but the sign of a zero, which no comparison or division in the
+// solver can observe.
 func (st *lpState) pivot(leave, enter int) {
-	t, objRow, ncols := st.t, st.objRow, st.ncols
-	piv := t[leave][enter]
+	t, objRow := st.t, st.objRow
 	prow := t[leave]
-	invPiv := 1 / piv
-	for j := 0; j < ncols; j++ {
-		prow[j] *= invPiv
+	invPiv := 1 / prow[enter]
+	nz := st.nz[:0]
+	for j, v := range prow {
+		if v != 0 {
+			v *= invPiv
+			prow[j] = v
+			if v != 0 {
+				nz = append(nz, j)
+			}
+		}
 	}
-	for i := range t {
+	st.nz = nz
+	for i, ri := range t {
 		if i == leave {
 			continue
 		}
-		f := t[i][enter]
+		f := ri[enter]
 		if f == 0 {
 			continue
 		}
-		ri := t[i]
-		for j := 0; j < ncols; j++ {
+		for _, j := range nz {
 			ri[j] -= f * prow[j]
 		}
 		ri[enter] = 0 // exact zero against drift
 	}
 	if f := objRow[enter]; f != 0 {
-		for j := 0; j < ncols; j++ {
+		for _, j := range nz {
 			objRow[j] -= f * prow[j]
 		}
 		objRow[enter] = 0
 	}
 }
 
-// extract reads the structural solution off an optimal state. Any
-// artificial still carrying value means the constraints cannot be satisfied
-// under the given bounds.
-func (st *lpState) extract(m *Model, iter int) lpResult {
+// extract reads the structural solution and its objective off an optimal
+// state. Any artificial still carrying value means the constraints cannot
+// be satisfied under the given bounds.
+func (st *lpState) extract(m *Model) ([]float64, float64, lpStatus) {
 	n, rows := st.n, st.rows
 	x := make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -498,7 +453,7 @@ func (st *lpState) extract(m *Model, iter int) lpResult {
 		if b < n {
 			x[b] = st.xB[i]
 		} else if b >= n+rows && st.xB[i] > 1e-6 {
-			return lpResult{status: lpInfeasible, iters: iter}
+			return nil, 0, lpInfeasible
 		}
 	}
 	obj := 0.0
@@ -513,269 +468,5 @@ func (st *lpState) extract(m *Model, iter int) lpResult {
 		}
 		obj += m.obj[j] * x[j]
 	}
-	return lpResult{status: lpOptimal, x: x, obj: obj, iters: iter}
-}
-
-// solveLPWarm re-solves the relaxation under tightened bounds starting from
-// a parent node's final basis: the parent tableau is still valid (same rows,
-// same basis), only the basic values move, and branching only tightens
-// bounds so the parent's optimal basis stays dual feasible. A short dual
-// simplex restores primal feasibility, then the shared primal loop confirms
-// optimality. Returns ok=false when the snapshot does not apply (row count
-// changed, an artificial is basic, numeric trouble) — the caller falls back
-// to a cold solve, which also owns infeasibility detection.
-func (m *Model) solveLPWarm(ctx context.Context, cons []constraint, lo, hi []float64, deadline time.Time, src *lpState, scr *lpScratch) (lpResult, *lpState, bool) {
-	if err := faultinject.Fire(ctx, faultinject.Simplex); err != nil {
-		return lpResult{status: lpInfeasible}, nil, true
-	}
-	n := len(m.obj)
-	rows := len(cons)
-	if src == nil || src.n != n || src.rows != rows || n == 0 {
-		return lpResult{}, nil, false
-	}
-	ncols := n + rows
-	for _, b := range src.basis {
-		if b >= ncols {
-			return lpResult{}, nil, false // artificial basic in parent
-		}
-	}
-	// Early uniqueness screen on the parent's reduced costs, before paying
-	// for the tableau copy: a zero reduced cost on a column still movable
-	// under the child bounds almost always survives to the child optimum,
-	// where the final certificate would reject the solve anyway. (The final
-	// certificate below remains authoritative; this is a fast filter.)
-	for j := 0; j < ncols; j++ {
-		if src.inBasis[j] {
-			continue
-		}
-		if j < n && lo[j] == hi[j] {
-			continue
-		}
-		if r := src.objRow[j]; r > -uniqueTol && r < uniqueTol {
-			return lpResult{}, nil, false
-		}
-	}
-
-	st := scr.newState(n, rows, ncols)
-	copy(st.basis, src.basis)
-	copy(st.atUpper, src.atUpper[:ncols])
-	for i := range st.t {
-		copy(st.t[i], src.t[i][:ncols])
-	}
-	copy(st.colLo, lo)
-	copy(st.colHi, hi)
-	copy(st.cost, m.obj)
-	for j := n; j < ncols; j++ {
-		st.colHi[j] = inf
-	}
-	for j := 0; j < n; j++ {
-		if lo[j] == hi[j] {
-			st.atUpper[j] = false
-		}
-	}
-	for _, b := range st.basis {
-		st.inBasis[b] = true
-	}
-
-	// Reduced costs for the parent basis (costs unchanged, so this is the
-	// parent's dual-feasible objective row rebuilt in the child's state).
-	copy(st.objRow, st.cost)
-	for i, b := range st.basis {
-		cb := st.cost[b]
-		if cb == 0 {
-			continue
-		}
-		ti := st.t[i]
-		for j := 0; j < ncols; j++ {
-			st.objRow[j] -= cb * ti[j]
-		}
-	}
-	// Dual feasibility must hold exactly (up to drift) for the dual simplex
-	// to apply; bound tightenings cannot break it, but accumulated pivot
-	// error can. Bail to cold when it does.
-	for j := 0; j < ncols; j++ {
-		if st.inBasis[j] || st.colLo[j] == st.colHi[j] {
-			continue
-		}
-		if !st.atUpper[j] && st.objRow[j] < -1e-6 {
-			scr.free(st)
-			return lpResult{}, nil, false
-		}
-		if st.atUpper[j] && st.objRow[j] > 1e-6 {
-			scr.free(st)
-			return lpResult{}, nil, false
-		}
-	}
-
-	// Basic values under the child bounds: xB = B^-1 b - sum_j T_j x_j over
-	// nonbasic columns at non-zero bounds. B^-1 sits in the slack block of
-	// the tableau (slack columns of A form the identity).
-	for i := 0; i < rows; i++ {
-		v := 0.0
-		ti := st.t[i]
-		for k := 0; k < rows; k++ {
-			if r := cons[k].rhs; r != 0 {
-				v += ti[n+k] * r
-			}
-		}
-		st.xB[i] = v
-	}
-	for j := 0; j < n; j++ {
-		if st.inBasis[j] {
-			continue
-		}
-		if v := st.nbVal(j); v != 0 {
-			for i := 0; i < rows; i++ {
-				st.xB[i] -= st.t[i][j] * v
-			}
-		}
-	}
-
-	// Dual simplex: repeatedly drive the most-violated basic variable to its
-	// violated bound, entering the nonbasic column that keeps the objective
-	// row dual feasible (minimum ratio).
-	maxIter := 100 * (rows + ncols + 10)
-	iter := 0
-	for ; ; iter++ {
-		if iter > maxIter {
-			scr.free(st)
-			return lpResult{}, nil, false
-		}
-		if iter%64 == 63 {
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				scr.free(st)
-				return lpResult{}, nil, false
-			}
-			if ctx.Err() != nil {
-				scr.free(st)
-				return lpResult{}, nil, false
-			}
-		}
-		leave, worst := -1, tol
-		below := false
-		for i := 0; i < rows; i++ {
-			b := st.basis[i]
-			if d := st.colLo[b] - st.xB[i]; d > worst {
-				leave, worst, below = i, d, true
-			}
-			if d := st.xB[i] - st.colHi[b]; d > worst {
-				leave, worst, below = i, d, false
-			}
-		}
-		if leave == -1 {
-			break // primal feasible
-		}
-		b := st.basis[leave]
-		beta := st.colHi[b]
-		if below {
-			beta = st.colLo[b]
-		}
-		tr := st.t[leave]
-		// Entering column: admissible sign moves x_b toward beta; minimum
-		// reduced-cost ratio preserves dual feasibility; ties take the
-		// smallest column index (deterministic).
-		enter := -1
-		bestRatio := inf
-		for j := 0; j < ncols; j++ {
-			if st.inBasis[j] || st.colLo[j] == st.colHi[j] {
-				continue
-			}
-			c := tr[j]
-			if c > -tol && c < tol {
-				continue
-			}
-			// Moving x_j by delta changes x_b by -c*delta; x_j at its lower
-			// bound may only increase, at its upper only decrease.
-			var ok bool
-			if !st.atUpper[j] {
-				ok = (below && c < 0) || (!below && c > 0)
-			} else {
-				ok = (below && c > 0) || (!below && c < 0)
-			}
-			if !ok {
-				continue
-			}
-			ratio := math.Abs(st.objRow[j] / c)
-			if ratio < bestRatio-tol {
-				bestRatio, enter = ratio, j
-			}
-		}
-		if enter == -1 {
-			// Dual unbounded means primal infeasible. Declaring it here is
-			// safe only when the certificate is exact: the bound violation
-			// clears the decision guard and every admissible-direction
-			// coefficient in the leaving row is exactly zero (common — these
-			// models pivot on small dyadic rationals). The caller prunes the
-			// node either way, so the search stays bit-identical to cold. A
-			// nonzero sub-tolerance coefficient or a knife-edge violation
-			// could classify differently under Big-M; those fall back cold.
-			if worst > 1e-6 {
-				exact := true
-				for j := 0; j < ncols && exact; j++ {
-					if st.inBasis[j] || st.colLo[j] == st.colHi[j] {
-						continue
-					}
-					c := tr[j]
-					if c == 0 || c <= -tol || c >= tol {
-						continue
-					}
-					if !st.atUpper[j] {
-						if (below && c < 0) || (!below && c > 0) {
-							exact = false
-						}
-					} else if (below && c > 0) || (!below && c < 0) {
-						exact = false
-					}
-				}
-				if exact {
-					scr.free(st)
-					return lpResult{status: lpInfeasible, iters: iter}, nil, true
-				}
-			}
-			scr.free(st)
-			return lpResult{}, nil, false
-		}
-		delta := (st.xB[leave] - beta) / tr[enter]
-		newVal := st.nbVal(enter) + delta
-		for i := 0; i < rows; i++ {
-			if i != leave {
-				st.xB[i] -= st.t[i][enter] * delta
-			}
-		}
-		st.inBasis[b] = false
-		st.atUpper[b] = !below
-		st.basis[leave] = enter
-		st.inBasis[enter] = true
-		st.xB[leave] = newVal
-		st.pivot(leave, enter)
-	}
-
-	status, iters := st.primal(ctx, deadline, iter)
-	if status != lpOptimal {
-		// A warm start must never degrade the search: retry cold.
-		scr.free(st)
-		return lpResult{}, nil, false
-	}
-	// Vertex-uniqueness certificate: a zero reduced cost on any movable
-	// nonbasic column means alternative optima exist, and the cold solve's
-	// tie-breaking could land on a different one — which would steer
-	// branching differently and break bit-identity with cold search. Only a
-	// certified-unique optimum is safe to hand back.
-	for j := 0; j < ncols; j++ {
-		if st.inBasis[j] || st.colLo[j] == st.colHi[j] {
-			continue
-		}
-		if r := st.objRow[j]; r > -uniqueTol && r < uniqueTol {
-			scr.free(st)
-			return lpResult{}, nil, false
-		}
-	}
-	res := st.extract(m, iters)
-	if res.status != lpOptimal {
-		// Extraction can only reject via artificials, which the warm path
-		// has none of; keep the guard anyway.
-		scr.free(st)
-		return lpResult{}, nil, false
-	}
-	return res, st, true
+	return x, obj, lpOptimal
 }

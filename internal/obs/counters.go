@@ -34,15 +34,18 @@ const (
 	CounterExactCons = "exact.cons"
 
 	// ILP branch and bound (internal/ilp).
-	CounterILPSolves       = "ilp.solves"
-	CounterILPBBNodes      = "ilp.bb.nodes"
-	CounterILPBBPruned     = "ilp.bb.pruned"
-	CounterILPSimplexIters = "ilp.simplex.iterations"
-	CounterILPLazyActive   = "ilp.lazy.activated"
-	CounterILPLPWarm       = "ilp.lp.warm"
-	CounterILPLPCold       = "ilp.lp.cold"
-	CounterILPScratchGets  = "ilp.scratch.gets"
-	CounterILPScratchFresh = "ilp.scratch.fresh"
+	CounterILPSolves           = "ilp.solves"
+	CounterILPBBNodes          = "ilp.bb.nodes"
+	CounterILPBBPruned         = "ilp.bb.pruned"
+	CounterILPSimplexIters     = "ilp.simplex.iterations"
+	CounterILPSimplexRootIters = "ilp.simplex.root_iterations"
+	CounterILPSimplexPivots    = "ilp.simplex.pivots"
+	CounterILPSimplexPivotNNZ  = "ilp.simplex.pivot_nnz"
+	CounterILPLazyActive       = "ilp.lazy.activated"
+	CounterILPLPWarm           = "ilp.lp.warm"
+	CounterILPLPCold           = "ilp.lp.cold"
+	CounterILPScratchGets      = "ilp.scratch.gets"
+	CounterILPScratchFresh     = "ilp.scratch.fresh"
 
 	// Hierarchical selection (internal/hier).
 	CounterHierTilesSolved    = "hier.tiles.solved"
@@ -112,7 +115,9 @@ var knownCounters = func() map[string]struct{} {
 		CounterPDUsagePoolGets, CounterPDUsagePoolFresh,
 		CounterExactVars, CounterExactCons,
 		CounterILPSolves, CounterILPBBNodes, CounterILPBBPruned,
-		CounterILPSimplexIters, CounterILPLazyActive,
+		CounterILPSimplexIters, CounterILPSimplexRootIters,
+		CounterILPSimplexPivots, CounterILPSimplexPivotNNZ,
+		CounterILPLazyActive,
 		CounterILPLPWarm, CounterILPLPCold,
 		CounterILPScratchGets, CounterILPScratchFresh,
 		CounterHierTilesSolved, CounterHierTilesTimedOut,
