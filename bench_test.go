@@ -156,6 +156,35 @@ func BenchmarkCluster(b *testing.B) {
 	b.ReportMetric(float64(stats.Clusters), "clusters")
 }
 
+// BenchmarkVioDst measures the Vio(dst) evaluation on its own:
+// postopt.CountViolatedGroups on the PD routings of Industry6@0.18 (the
+// table2-congested scale) and Industry2@0.5 (table1-pd). The build and the
+// PD solve happen once outside the timer; each op evaluates the same
+// routing, one distance walk per routed bit of a group with a pin-mapped
+// object.
+func BenchmarkVioDst(b *testing.B) {
+	for _, c := range []struct {
+		n     int
+		scale float64
+	}{{6, 0.18}, {2, 0.5}} {
+		b.Run(fmt.Sprintf("Industry%d@%g", c.n, c.scale), func(b *testing.B) {
+			d := benchgen.Scale(benchgen.Industry(c.n), c.scale).Generate()
+			p, err := route.Build(d, route.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := p.ExtractRouting(pd.Solve(p).Assignment)
+			b.ReportAllocs()
+			b.ResetTimer()
+			vio := 0
+			for i := 0; i < b.N; i++ {
+				vio = postopt.CountViolatedGroups(d, r, postopt.Options{})
+			}
+			b.ReportMetric(float64(vio), "vio")
+		})
+	}
+}
+
 // BenchmarkPDSolve measures Algorithm 2's selection on its own: pd.Solve on
 // Industry2 at the table1-pd scale, where PD commits hundreds of objects
 // (at benchScale it does almost no work). The build happens once outside
@@ -358,8 +387,8 @@ func BenchmarkFig15Refinement(b *testing.B) {
 }
 
 // BenchmarkAblationBendCost compares backbone generation with and without
-// the bend cost (DESIGN.md ablation: bend-aware BI1S matters for signal
-// groups because every bend becomes a via stack on every bit).
+// the bend cost (DESIGN.md ablation: bend-aware iterated 1-Steiner matters
+// for signal groups because every bend becomes a via stack on every bit).
 func BenchmarkAblationBendCost(b *testing.B) {
 	pins := []geom.Point{
 		geom.Pt(0, 0), geom.Pt(14, 3), geom.Pt(7, 9), geom.Pt(20, 12), geom.Pt(3, 17),

@@ -36,7 +36,7 @@ func main() {
 
 func run() int {
 	var (
-		benchRe   = flag.String("bench", "BenchmarkTable1PrimalDual|BenchmarkPairCost|BenchmarkBuildParallel|BenchmarkCacheHit|BenchmarkCapacityIntersect|BenchmarkTreeArena|BenchmarkBBNode|BenchmarkILPSolve|BenchmarkCluster|BenchmarkPDSolve|BenchmarkRouteBuild|BenchmarkRebuild", "benchmark regexp passed to go test -bench")
+		benchRe   = flag.String("bench", "BenchmarkTable1PrimalDual|BenchmarkPairCost|BenchmarkBuildParallel|BenchmarkCacheHit|BenchmarkCapacityIntersect|BenchmarkTreeArena|BenchmarkBBNode|BenchmarkILPSolve|BenchmarkCluster|BenchmarkPDSolve|BenchmarkRouteBuild|BenchmarkRebuild|BenchmarkVioDst", "benchmark regexp passed to go test -bench")
 		benchtime = flag.String("benchtime", "1x", "value passed to go test -benchtime")
 		pkg       = flag.String("pkg", ".", "package to benchmark")
 		out       = flag.String("out", "", "output artifact path (default BENCH_<date>.json; \"-\" for stdout)")

@@ -2,6 +2,7 @@ package streak
 
 import (
 	"context"
+	"maps"
 	"testing"
 	"time"
 
@@ -43,6 +44,7 @@ func TestSolveCountersRegistered(t *testing.T) {
 			obs.CounterBuildCandidates, obs.CounterBuildExpanded,
 			obs.CounterClusterIterations, obs.CounterClusterPairEvals,
 			obs.CounterClusterRatioEvals, obs.CounterClusterTreeFits,
+			obs.CounterVioWalks, obs.CounterRefineDetourTries,
 		}
 		switch method {
 		case PrimalDual:
@@ -55,6 +57,34 @@ func TestSolveCountersRegistered(t *testing.T) {
 			if _, ok := counters[name]; !ok {
 				t.Errorf("method %v: counter %q not emitted", method, name)
 			}
+		}
+	}
+}
+
+// TestVioCountersIndependentOfWorkers pins that the Vio(dst) work counters
+// read the same whatever the candidate-build worker count: the distance
+// walks and detour attempts depend only on the routing.
+func TestVioCountersIndependentOfWorkers(t *testing.T) {
+	d := benchgen.Scale(benchgen.Industry(6), 0.1).Generate()
+	var want map[string]int64
+	for _, workers := range []int{1, 2} {
+		opt := DefaultOptions()
+		opt.Route.Workers = workers
+		rec := obs.NewRecorder()
+		if _, err := RouteCtx(obs.WithRecorder(context.Background(), rec), d, opt); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		for _, name := range []string{obs.CounterVioWalks, obs.CounterRefineDetourTries} {
+			got[name] = rec.Counter(name)
+		}
+		if got[obs.CounterVioWalks] == 0 {
+			t.Fatalf("workers %d: no distance walks recorded", workers)
+		}
+		if want == nil {
+			want = got
+		} else if !maps.Equal(got, want) {
+			t.Errorf("workers %d: counters %v, workers 1: %v", workers, got, want)
 		}
 	}
 }

@@ -255,6 +255,10 @@ func RunProblemCtx(ctx context.Context, p *route.Problem, opt Options) (*Result,
 	res.Routing = p.ExtractRouting(res.Assignment)
 	res.Usage = res.Routing.UsageOf(p.Grid)
 
+	// Vio(dst) is evaluated once per routing state: refinement reports the
+	// counts before and after its detours; otherwise one count serves as
+	// both VioBefore and Metrics.VioDst.
+	refined := false
 	if opt.PostOpt {
 		var postErr error
 		if opt.Clustering {
@@ -262,11 +266,11 @@ func RunProblemCtx(ctx context.Context, p *route.Problem, opt Options) (*Result,
 			res.Cluster = stats
 			postErr = err
 		}
-		res.VioBefore = postopt.CountViolatedGroups(p.Design, res.Routing, opt.Post)
 		if postErr == nil && opt.Refinement {
 			stats, err := postopt.RefineCtx(ctx, p, res.Routing, res.Usage, opt.Post)
 			res.Refine = stats
 			postErr = err
+			refined = true
 		}
 		if postErr != nil {
 			if !errors.Is(postErr, context.DeadlineExceeded) {
@@ -277,13 +281,18 @@ func RunProblemCtx(ctx context.Context, p *route.Problem, opt Options) (*Result,
 			// timed-out result, not an error.
 			res.TimedOut = true
 		}
+	}
+	var vioDst int
+	if refined {
+		res.VioBefore, vioDst = res.Refine.GroupsBefore, res.Refine.GroupsAfter
 	} else {
-		res.VioBefore = postopt.CountViolatedGroups(p.Design, res.Routing, opt.Post)
+		res.VioBefore = postopt.CountViolatedGroupsCtx(ctx, p.Design, res.Routing, opt.Post)
+		vioDst = res.VioBefore
 	}
 
 	res.Runtime = time.Since(start)
 	_ = obs.Do(ctx, obs.StageMetrics, 0, func(context.Context) error {
-		res.Metrics = metrics.Compute(p.Design, res.Routing, res.Usage, opt.Post)
+		res.Metrics = metrics.ComputeWithVio(p.Design, res.Routing, res.Usage, vioDst)
 		return nil
 	})
 	res.Metrics.Runtime = res.Runtime

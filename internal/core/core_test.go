@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/benchgen"
+	"repro/internal/postopt"
 	"repro/internal/route"
 )
 
@@ -109,5 +110,42 @@ func TestVioBeforeWithoutPostOpt(t *testing.T) {
 	}
 	if res.VioBefore != res.Metrics.VioDst {
 		t.Errorf("without post-opt VioBefore %d != VioDst %d", res.VioBefore, res.Metrics.VioDst)
+	}
+}
+
+// TestVioCountsMatchRecount pins the single Vio(dst) evaluation per
+// routing state against full recounts. Industry6@0.18 (the golden
+// clustering preset) has violations that refinement fixes, so VioBefore
+// and VioDst differ there: VioBefore must equal a count of the clustered
+// routing (the same flow with refinement off), and Metrics.VioDst a count
+// of the final routing, on the PD-only, clustered and refined flows.
+func TestVioCountsMatchRecount(t *testing.T) {
+	p, err := route.Build(benchgen.Scale(benchgen.Industry(6), 0.18).Generate(), route.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opt Options) *Result {
+		t.Helper()
+		res, err := RunProblem(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := postopt.CountViolatedGroups(p.Design, res.Routing, opt.Post); res.Metrics.VioDst != n {
+			t.Errorf("%+v: Metrics.VioDst = %d, recount %d", opt, res.Metrics.VioDst, n)
+		}
+		return res
+	}
+	run(Options{Method: PrimalDual})
+	clustered := run(Options{Method: PrimalDual, PostOpt: true, Clustering: true})
+	if clustered.VioBefore != clustered.Metrics.VioDst {
+		t.Errorf("refinement off: VioBefore %d != VioDst %d", clustered.VioBefore, clustered.Metrics.VioDst)
+	}
+	refined := run(Options{Method: PrimalDual, PostOpt: true, Clustering: true, Refinement: true})
+	if refined.VioBefore != clustered.VioBefore {
+		t.Errorf("refined flow VioBefore = %d, count of the clustered routing %d", refined.VioBefore, clustered.VioBefore)
+	}
+	if refined.Refine.PinsFixed == 0 || refined.VioBefore == refined.Metrics.VioDst {
+		t.Errorf("refinement fixed %d pins, Vio(dst) %d -> %d: the design no longer exercises a detour",
+			refined.Refine.PinsFixed, refined.VioBefore, refined.Metrics.VioDst)
 	}
 }

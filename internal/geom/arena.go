@@ -8,7 +8,8 @@ import (
 )
 
 // This file holds the allocation-free SoA kernels behind Canon, WireLength,
-// Bends and Connected. The map-and-nested-slice implementations they replace dominated
+// Bends and Connected (Distances, in distances.go, reuses the same arena).
+// The map-and-nested-slice implementations they replace dominated
 // the candidate-build and selection hot paths; the kernels below reduce each
 // of them to packed-key sorts plus linear merges over scratch slices owned
 // by a pooled Arena, so steady-state callers allocate nothing. Outputs are
@@ -70,6 +71,17 @@ type Arena struct {
 	vpts   []uint64
 	canon  []Seg
 	parent []int32
+
+	// Distances scratch: split segments, cut coordinates, sorted nodes,
+	// compressed adjacency, shortest-path distances and heap.
+	dsegs  []Seg
+	dcuts  []int
+	dnodes []Point
+	dstart []int32
+	dends  []int32
+	dadj   []int32
+	ddist  []int
+	dheap  []distItem
 }
 
 var arenaPool = sync.Pool{New: func() any {

@@ -8,14 +8,14 @@ import (
 
 // TestPathLengthBounds: on a random spanning tree, the path length between
 // two pins is at least their Manhattan distance and at most the total
-// wirelength.
+// wirelength, and Distances agrees with the PathLength reference.
 func TestPathLengthBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tr, pts := randomSpanTree(r, 2+r.Intn(6))
 		a, b := pts[0], pts[len(pts)-1]
-		d := tr.PathLength(a, b)
-		if d < 0 {
+		d := tr.Distances(a, []Point{b})[0]
+		if d != tr.PathLength(a, b) || d < 0 {
 			return false // pins always on their own spanning tree
 		}
 		return d >= Dist(a, b) && d <= tr.WireLength()
@@ -25,13 +25,15 @@ func TestPathLengthBounds(t *testing.T) {
 	}
 }
 
-// TestPathLengthSymmetric: path length is direction-independent.
+// TestPathLengthSymmetric: path length is direction-independent, and
+// Distances agrees with the PathLength reference both ways.
 func TestPathLengthSymmetric(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tr, pts := randomSpanTree(r, 2+r.Intn(6))
 		a, b := pts[r.Intn(len(pts))], pts[r.Intn(len(pts))]
-		return tr.PathLength(a, b) == tr.PathLength(b, a)
+		ab, ba := tr.Distances(a, []Point{b})[0], tr.Distances(b, []Point{a})[0]
+		return ab == ba && ab == tr.PathLength(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

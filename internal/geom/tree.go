@@ -180,86 +180,3 @@ func (t Tree) IsTree() bool {
 	}
 	return len(t.Canon().Segs) == max(len(t.Nodes())-1, 0)
 }
-
-// PathLength returns the length of the unique path between two points on
-// the tree, or -1 when either point is off-tree or the tree is disconnected
-// between them. Used for source-to-sink distance accounting.
-func (t Tree) PathLength(from, to Point) int {
-	if from == to {
-		if t.OnTree(from) || len(t.Segs) == 0 {
-			return 0
-		}
-		return -1
-	}
-	if !t.OnTree(from) || !t.OnTree(to) {
-		return -1
-	}
-	// Split segments at from/to by adding zero-extent markers is not enough;
-	// instead cut the canonical segs that contain the endpoints.
-	c := t.Canon()
-	var segs []Seg
-	for _, s := range c.Segs {
-		pts := []int{}
-		horiz := s.Horizontal()
-		coord := func(p Point) int {
-			if horiz {
-				return p.X
-			}
-			return p.Y
-		}
-		n := s.Norm()
-		for _, p := range []Point{from, to} {
-			if s.Contains(p) && p != n.A && p != n.B {
-				pts = append(pts, coord(p))
-			}
-		}
-		if len(pts) == 0 {
-			segs = append(segs, n)
-			continue
-		}
-		pts = append(pts, coord(n.A), coord(n.B))
-		sort.Ints(pts)
-		for i := 0; i+1 < len(pts); i++ {
-			if pts[i] == pts[i+1] {
-				continue
-			}
-			if horiz {
-				segs = append(segs, Seg{A: Point{pts[i], n.A.Y}, B: Point{pts[i+1], n.A.Y}})
-			} else {
-				segs = append(segs, Seg{A: Point{n.A.X, pts[i]}, B: Point{n.A.X, pts[i+1]}})
-			}
-		}
-	}
-	adj := make(map[Point][]Point)
-	for _, s := range segs {
-		adj[s.A] = append(adj[s.A], s.B)
-		adj[s.B] = append(adj[s.B], s.A)
-	}
-	// Dijkstra with linear extraction — segment graphs are tiny, and the
-	// shortest path is well-defined even when overlapping segments form
-	// cycles (a proper tree has a unique path, which is then also the
-	// shortest).
-	dist := map[Point]int{from: 0}
-	done := map[Point]bool{}
-	for {
-		cur, curD := Point{}, -1
-		for p, d := range dist {
-			if !done[p] && (curD == -1 || d < curD) {
-				cur, curD = p, d
-			}
-		}
-		if curD == -1 {
-			return -1
-		}
-		if cur == to {
-			return curD
-		}
-		done[cur] = true
-		for _, q := range adj[cur] {
-			nd := curD + Dist(cur, q)
-			if old, ok := dist[q]; !ok || nd < old {
-				dist[q] = nd
-			}
-		}
-	}
-}

@@ -110,6 +110,8 @@ func TestIsTree(t *testing.T) {
 	}
 }
 
+// TestPathLength pins Distances, and the PathLength reference it replaced,
+// on a Z-shaped tree.
 func TestPathLength(t *testing.T) {
 	z := NewTree(
 		S(Pt(0, 0), Pt(2, 0)),
@@ -127,8 +129,11 @@ func TestPathLength(t *testing.T) {
 		{Pt(0, 0), Pt(9, 9), -1}, // off tree
 	}
 	for _, c := range cases {
-		if got := z.PathLength(c.a, c.b); got != c.want {
-			t.Errorf("PathLength(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
+		if got := z.Distances(c.a, []Point{c.b})[0]; got != c.want {
+			t.Errorf("Distances(%v,{%v}) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if ref := z.PathLength(c.a, c.b); ref != c.want {
+			t.Errorf("reference PathLength(%v,%v) = %d, want %d", c.a, c.b, ref, c.want)
 		}
 	}
 }

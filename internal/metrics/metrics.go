@@ -46,6 +46,13 @@ type Metrics struct {
 
 // Compute evaluates a routing against its design.
 func Compute(d *signal.Design, r *route.Routing, u *grid.Usage, opt postopt.Options) Metrics {
+	return ComputeWithVio(d, r, u, postopt.CountViolatedGroups(d, r, opt))
+}
+
+// ComputeWithVio is Compute for a caller that already holds the routing's
+// Vio(dst) count (postopt.CountViolatedGroups or a refinement's
+// GroupsAfter), so the metrics stage makes no distance pass of its own.
+func ComputeWithVio(d *signal.Design, r *route.Routing, u *grid.Usage, vioDst int) Metrics {
 	m := Metrics{
 		Bench:  d.Name,
 		Groups: len(d.Groups),
@@ -84,7 +91,7 @@ func Compute(d *signal.Design, r *route.Routing, u *grid.Usage, opt postopt.Opti
 		m.RouteFrac = float64(m.RoutedGroups) / float64(m.Groups)
 	}
 	m.AvgReg = AvgReg(d, r)
-	m.VioDst = postopt.CountViolatedGroups(d, r, opt)
+	m.VioDst = vioDst
 	if u != nil {
 		m.Overflow = u.Overflow()
 		m.OverflowEdges = u.OverflowEdges()

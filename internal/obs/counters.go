@@ -65,6 +65,8 @@ const (
 	CounterRefinePinsFixed   = "postopt.refine.pins_fixed"
 	CounterRefinePinsLeft    = "postopt.refine.pins_left"
 	CounterRefineAddedWL     = "postopt.refine.added_wl"
+	CounterRefineDetourTries = "postopt.refine.detour_attempts"
+	CounterVioWalks          = "postopt.vio.walks"
 
 	// Legality audit (internal/audit).
 	CounterAuditViolations = "audit.violations"
@@ -128,7 +130,8 @@ var knownCounters = func() map[string]struct{} {
 		CounterClusterIterations, CounterClusterPairEvals,
 		CounterClusterRatioEvals, CounterClusterTreeFits,
 		CounterRefinePinsFixed, CounterRefinePinsLeft,
-		CounterRefineAddedWL,
+		CounterRefineAddedWL, CounterRefineDetourTries,
+		CounterVioWalks,
 		CounterAuditViolations, CounterAuditBits, CounterAuditEdges,
 		CounterFallbackAttempts,
 		CounterJobsReplayRecords, CounterJobsReplaySkipped,

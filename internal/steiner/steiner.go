@@ -1,6 +1,7 @@
 // Package steiner builds rectilinear Steiner trees for signal-bit pin sets.
-// It implements a Prim-based rectilinear MST, the batched iterated 1-Steiner
-// heuristic of Kahng and Robins (BI1S, [16] in the paper) extended with a
+// It implements a Prim-based rectilinear MST, the iterated 1-Steiner
+// heuristic of Kahng and Robins ([16] in the paper; one Hanan point is
+// inserted per round, not the batched BI1S variant) extended with a
 // bend cost as §III-B1 requires — backbone topologies affect every bit in a
 // routing object, so fewer bends matter as much as wirelength — and an
 // enumerator that returns a diverse set of candidate backbones.
